@@ -38,11 +38,10 @@ class DemandPredictor {
   /// granted exactly pred_demand), inv.pred_size_related and inv.first_seen.
   virtual void predict(sim::Invocation& inv) = 0;
 
-  /// Pure form of predict() for the parallel prediction barrier (§5l): a
-  /// memo holding exactly what predict() would write, or nullopt when
-  /// predict() would mutate predictor state (e.g. first-seen training). Must
-  /// be safe to call concurrently from worker threads. The conservative
-  /// default declines, which keeps every prediction on the serial path.
+  /// Pure form of predict() for the prediction barrier (§5l): a memo holding
+  /// exactly what predict() would write, or nullopt when predict() would
+  /// mutate predictor state (e.g. first-seen training). The conservative
+  /// default declines, which predicts at the commit position instead.
   virtual std::optional<sim::PredictionMemo> speculate_predict(
       const sim::Invocation& inv) const {
     (void)inv;

@@ -73,7 +73,7 @@ class Profiler final : public DemandPredictor {
   void predict(sim::Invocation& inv) override;
   /// Pure prediction memo for trained functions (the ML and histogram
   /// serving paths are const); declines for first-seen functions, whose
-  /// predict() trains. Safe to call concurrently from worker threads.
+  /// predict() trains.
   std::optional<sim::PredictionMemo> speculate_predict(
       const sim::Invocation& inv) const override;
   void observe(const Observation& obs) override;

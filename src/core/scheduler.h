@@ -22,9 +22,9 @@ class SchedulerStrategy {
   virtual std::string name() const = 0;
   /// Returns a feasible node for the invocation or sim::kNoNode.
   virtual sim::NodeId select(sim::Invocation& inv, sim::EngineApi& api) = 0;
-  /// Read-only speculative decision for the parallel sharded controller
-  /// (Policy::speculate_select contract: pure, thread-safe, nullopt when the
-  /// decision is order-dependent). Default: never speculate.
+  /// Read-only speculative decision for the sharded controller's barrier
+  /// (Policy::speculate_select contract: pure, nullopt when the decision is
+  /// order-dependent). Default: never speculate.
   virtual std::optional<sim::NodeId> speculate(const sim::Invocation& inv,
                                                const sim::EngineApi& api) const {
     (void)inv;

@@ -1,8 +1,9 @@
 // Canonical digest of a RunMetrics: a 64-bit FNV-1a hash over a fixed-order
 // serialization of every deterministic field. Two runs with equal digests
 // produced bit-identical results; the golden-replay test and the fig12 CI
-// smoke step use this to prove the parallel sharded controller merges grants
-// exactly like the serial engine. Wall-clock measurements
+// smoke step use this to prove the barrier-batched sharded controller merges
+// grants exactly like the one-decision-at-a-time engine, and that
+// observability never moves the simulation. Wall-clock measurements
 // (RunMetrics::sched_overhead_seconds) are deliberately excluded — they are
 // real time, not simulation output.
 #pragma once

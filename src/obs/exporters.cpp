@@ -121,7 +121,7 @@ void write_summary(std::ostream& os, const TraceRecorder& recorder,
          << " max=" << fmt_double(h.max(), 4) << "\n";
     }
   }
-  // Shard balance of the parallel scheduling phase (§6.4): the per-shard
+  // Shard balance of the sharded scheduling phase (§6.4): the per-shard
   // decision-cost histograms double as per-shard decision counters, so the
   // spread between the busiest and idlest shard falls out of their counts.
   {

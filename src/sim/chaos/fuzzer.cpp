@@ -64,7 +64,6 @@ Scenario ScenarioFuzzer::next() {
     sc.node_capacities.push_back(kNodeClasses[cls]);
   }
   sc.num_shards = static_cast<int>(r.uniform_int(1, 2));
-  sc.workers_b = 4;
 
   // ---- Control plane ----
   // Most scenarios run multi-controller; a third opt into the divergence

@@ -110,7 +110,7 @@ struct LegResult {
 
 LegResult run_leg(const Scenario& sc, std::vector<sim::Invocation> trace,
                   const std::shared_ptr<const sim::FunctionCatalog>& catalog,
-                  bool libra, int workers, bool with_injection,
+                  bool libra, bool recycle, bool with_injection,
                   int controllers) {
   AuditCapture capture;
   analysis::InvariantAuditor auditor(analysis::InvariantAuditorConfig{1});
@@ -131,7 +131,8 @@ LegResult run_leg(const Scenario& sc, std::vector<sim::Invocation> trace,
   auditor.attach_policy(libra_policy);
   InjectingHook hook(&auditor, with_injection ? libra_policy : nullptr,
                      sc.inject);
-  sim::EngineConfig cfg = sc.engine_config(workers);
+  sim::EngineConfig cfg = sc.engine_config();
+  cfg.recycle_records = recycle;
   cfg.control.num_controllers = controllers;
   cfg.audit_hook = &hook;
   sim::Engine engine(cfg, policy);
@@ -218,29 +219,30 @@ Verdict check_scenario(const Scenario& sc) {
       libra::gen::synthetic_catalog(sc.gen));
   const std::vector<sim::Invocation> trace = materialize_trace(sc, catalog);
 
-  // Leg A: instrumented Libra, serial scheduling, injection armed.
+  // Leg A: instrumented Libra, injection armed.
   const LegResult a =
       run_leg(sc, trace, catalog, /*libra=*/true,
-              /*workers=*/1, /*with_injection=*/true, sc.num_controllers);
+              /*recycle=*/false, /*with_injection=*/true, sc.num_controllers);
   if (a.audit_failures > 0) {
     std::ostringstream os;
     os << a.audit_failures << " audit failure(s); first: " << a.first_diag;
     return fail(kFailAudit, os.str());
   }
 
-  const sim::EngineConfig cfg_a = sc.engine_config(1);
+  const sim::EngineConfig cfg_a = sc.engine_config();
   if (std::string v = accounting_violation(a.metrics, trace.size(), cfg_a);
       !v.empty())
     return fail(kFailAccounting, v);
 
-  // Leg B: identical scenario, parallel shard speculation — the replay
-  // digest must not move by a single bit.
+  // Leg B: identical scenario with terminal records recycled through the
+  // store's free list mid-run — the replay digest must not move by a single
+  // bit (a recycled slot never leaks into a live continuation).
   const LegResult b =
-      run_leg(sc, trace, catalog, /*libra=*/true, sc.workers_b,
+      run_leg(sc, trace, catalog, /*libra=*/true, /*recycle=*/true,
               /*with_injection=*/false, sc.num_controllers);
   if (b.audit_failures > 0) {
     std::ostringstream os;
-    os << "parallel leg: " << b.audit_failures
+    os << "recycling leg: " << b.audit_failures
        << " audit failure(s); first: " << b.first_diag;
     return fail(kFailAudit, os.str());
   }
@@ -248,8 +250,8 @@ Verdict check_scenario(const Scenario& sc) {
   const uint64_t db = exp::run_metrics_digest(b.metrics);
   if (da != db) {
     std::ostringstream os;
-    os << "sched_workers 1 vs " << sc.workers_b << ": "
-       << exp::digest_hex(da) << " != " << exp::digest_hex(db);
+    os << "record recycling off vs on: " << exp::digest_hex(da)
+       << " != " << exp::digest_hex(db);
     return fail(kFailDigest, os.str());
   }
 
@@ -277,12 +279,13 @@ Verdict check_scenario(const Scenario& sc) {
             ? da
             : exp::run_metrics_digest(
                   run_leg(stripped, trace, catalog, /*libra=*/true,
-                          /*workers=*/1, /*with_injection=*/false,
+                          /*recycle=*/false, /*with_injection=*/false,
                           /*controllers=*/1)
                       .metrics);
     const LegResult e =
         run_leg(stripped, trace, catalog, /*libra=*/true,
-                /*workers=*/1, /*with_injection=*/false, stripped.controllers_b);
+                /*recycle=*/false, /*with_injection=*/false,
+                stripped.controllers_b);
     const uint64_t de = exp::run_metrics_digest(e.metrics);
     if (dd != de) {
       std::ostringstream os;
@@ -295,7 +298,7 @@ Verdict check_scenario(const Scenario& sc) {
   // Leg C: the default platform as the cross-scheduler sanity reference.
   const LegResult c =
       run_leg(sc, trace, catalog, /*libra=*/false,
-              /*workers=*/1, /*with_injection=*/false, sc.num_controllers);
+              /*recycle=*/false, /*with_injection=*/false, sc.num_controllers);
   if (c.audit_failures > 0) {
     std::ostringstream os;
     os << "default-platform leg: " << c.audit_failures

@@ -1,12 +1,11 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
-#include <string>
 
 #include "util/audit.h"
 #include "util/log.h"
+#include "workload/materialized_source.h"
 
 namespace libra::sim {
 
@@ -45,50 +44,8 @@ void Engine::notify_audit(const char* what, InvocationId inv, NodeId node_id) {
 }
 
 RunMetrics Engine::run(std::vector<Invocation> trace) {
-  if (trace.empty()) return std::move(metrics_);
-  for (size_t i = 0; i < trace.size(); ++i) {
-    // `!(x >= 0)` instead of `x < 0`: a NaN arrival must be rejected here,
-    // not admitted into the event queue where it would poison the ordering.
-    if (!(trace[i].arrival >= 0.0))
-      throw std::invalid_argument(
-          "Engine: negative or NaN arrival time in trace");
-    if (i > 0 && trace[i].arrival < trace[i - 1].arrival)
-      throw std::invalid_argument(
-          "Engine: trace not sorted by arrival time (index " +
-          std::to_string(i) + " arrives at " +
-          std::to_string(trace[i].arrival) + " after " +
-          std::to_string(trace[i - 1].arrival) + ")");
-  }
-  total_ = trace.size();
-  metrics_.first_arrival = std::numeric_limits<double>::infinity();
-  SimTime last_arrival = 0.0;
-  for (auto& inv : trace) {
-    metrics_.first_arrival = std::min(metrics_.first_arrival, inv.arrival);
-    last_arrival = std::max(last_arrival, inv.arrival);
-    const InvocationId id = inv.id;
-    const SimTime at = inv.arrival;
-    if (!invocations_.insert(id, std::move(inv)))
-      throw std::invalid_argument("Engine: duplicate invocation id");
-    queue_.schedule(at, [this, id] { on_arrival(id); });
-  }
-  metrics_.peak_live_records = static_cast<long>(invocations_.size());
-  // Fault injection: materialize the churn timeline (scripted outages plus
-  // the sampled crash process) and schedule it like any other event.
-  fault_ = std::make_unique<fault::FaultInjector>(
-      cfg_.fault_plan, cfg_.fault_profile, cluster_->nodes().size(),
-      last_arrival + cfg_.churn_horizon_pad);
-  for (const auto& ev : fault_->churn()) {
-    const NodeId nid = ev.node;
-    if (ev.down)
-      queue_.schedule(ev.time, [this, nid] { cluster_->on_node_down(nid); });
-    else
-      queue_.schedule(ev.time, [this, nid] { cluster_->on_node_up(nid); });
-  }
-  schedule_drain_notices();
-  cluster_->start_health_pings(metrics_.first_arrival);
-  ctrlplane_->start(metrics_.first_arrival);
-  queue_.run();
-  return finish_run();
+  workload::MaterializedSource source(std::move(trace));
+  return run(source);
 }
 
 RunMetrics Engine::run(gen::TraceSource& source) {
@@ -101,8 +58,8 @@ RunMetrics Engine::run(gen::TraceSource& source) {
   recycle_active_ = cfg_.recycle_records;
   metrics_.first_arrival = *first;
   // The churn horizon comes from the source's declared bound instead of a
-  // scan over the (never materialized) trace; MaterializedSource reports the
-  // exact last arrival, so replay digests are unaffected.
+  // scan over the (possibly never materialized) trace; MaterializedSource
+  // reports the exact last arrival.
   fault_ = std::make_unique<fault::FaultInjector>(
       cfg_.fault_plan, cfg_.fault_profile, cluster_->nodes().size(),
       source.horizon() + cfg_.churn_horizon_pad);
@@ -120,20 +77,23 @@ RunMetrics Engine::run(gen::TraceSource& source) {
   for (;;) {
     // Admit everything due at or before the next event (plus the look-ahead
     // window). Arrivals enter on the event queue's arrival lane, so they
-    // beat every same-time dynamic event exactly as the materialized path's
-    // scheduled-first arrivals do.
+    // beat every same-time dynamic event, exactly as if the whole trace had
+    // been scheduled before the run started.
     while (!source_done_) {
       const auto at = source.peek_arrival();
       if (!at.has_value()) {
         source_done_ = true;
         break;
       }
+      // `!(x >= y)` instead of `x < y`: a NaN arrival fails every ordered
+      // comparison, so it must be rejected here — `*at > due` below would
+      // never hold for it and the loop would spin forever.
+      if (!(*at >= last_admitted))
+        throw std::invalid_argument(
+            "Engine: NaN arrival or stream not sorted by arrival time");
       const SimTime due =
           std::max(queue_.next_time(), queue_.now() + cfg_.admission_lookahead);
       if (*at > due) break;
-      if (*at < last_admitted)
-        throw std::invalid_argument(
-            "Engine: stream not sorted by arrival time");
       last_admitted = *at;
       admit_streamed(source.next());
     }
@@ -201,13 +161,7 @@ RunMetrics Engine::finish_run() {
   });
   std::sort(unfinished.begin(), unfinished.end());
   for (InvocationId id : unfinished) lifecycle_->finalize_record(invocation(id));
-  if (cfg_.retain_records) {
-    metrics_.incomplete = 0;
-    for (const auto& rec : metrics_.invocations)
-      if (!rec.completed && !rec.lost) ++metrics_.incomplete;
-  } else {
-    metrics_.incomplete = metrics_.finalized_incomplete;
-  }
+  metrics_.incomplete = metrics_.finalized_incomplete;
   if (metrics_.incomplete > 0)
     LIBRA_WARN() << metrics_.incomplete
                  << " invocations never completed (capacity starvation?)";
@@ -236,9 +190,9 @@ void Engine::on_arrival(InvocationId id) {
 void Engine::on_profiled(InvocationId id) {
   // Prediction is batched with every other same-instant profiler completion
   // and hoisted into the controller's prediction barrier (§5l): pure
-  // speculation runs on the worker pool, commits and admission scheduling
-  // happen serially in registration order — the serial path's relative
-  // ordering, at the barrier's position in the event stream.
+  // speculation first, then commits and admission scheduling in registration
+  // order — the serial path's relative ordering, at the barrier's position
+  // in the event stream.
   controller_->enqueue_prediction(id);
 }
 

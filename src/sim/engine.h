@@ -10,8 +10,8 @@
 // The engine itself is event-loop glue over three layers (see engine_host.h):
 //   ClusterState        — nodes, reservations, health view, usage series;
 //   InvocationLifecycle — the per-invocation state machine;
-//   ShardedController   — per-shard queues and the barrier-batched,
-//                         optionally parallel scheduling decisions of §6.4.
+//   ShardedController   — per-shard queues and the barrier-batched
+//                         speculate-then-commit scheduling decisions of §6.4.
 #pragma once
 
 #include <memory>
@@ -39,15 +39,17 @@ class Engine final : public EngineApi, private EngineHost {
   Engine(EngineConfig cfg, std::shared_ptr<Policy> policy);
 
   /// Runs the whole trace to completion and returns the collected metrics.
-  /// The trace must be sorted by arrival time.
+  /// The trace must be sorted by arrival time. A thin wrapper: the trace is
+  /// pulled through workload::MaterializedSource into run(source).
   RunMetrics run(std::vector<Invocation> trace);
 
-  /// Streaming run: pulls invocations from `source` just in time (plus
+  /// The run loop: pulls invocations from `source` just in time (plus
   /// EngineConfig::admission_lookahead), so live memory tracks the in-flight
   /// count instead of the stream length. Arrivals enter through the event
-  /// queue's arrival lane, which reproduces the materialized run's event
-  /// order exactly — a materialized trace pulled through this path yields
-  /// bit-identical RunMetrics (golden-digest asserted).
+  /// queue's arrival lane, so at equal timestamps they beat every dynamic
+  /// event — the event order of scheduling the whole trace up front. Throws
+  /// std::invalid_argument on a negative, NaN or out-of-order arrival and
+  /// on a duplicate invocation id.
   RunMetrics run(gen::TraceSource& source);
 
   // ---- EngineApi ----
@@ -124,7 +126,7 @@ class Engine final : public EngineApi, private EngineHost {
   /// Returns terminal records queued by request_recycle() to the store's
   /// slot free list. Only called between events, never mid-callback.
   void drain_recycle();
-  /// Common run epilogue: straggler sweep, incomplete accounting, cold/warm
+  /// Run epilogue: straggler sweep, incomplete accounting, cold/warm
   /// totals, policy stats.
   RunMetrics finish_run();
 
@@ -138,7 +140,7 @@ class Engine final : public EngineApi, private EngineHost {
   InvocationStore invocations_;
   std::vector<InvocationId> pending_recycle_;
   bool recycle_active_ = false;
-  /// False only while a streaming run still has unadmitted arrivals; keeps
+  /// False only while a run still has unadmitted arrivals; keeps
   /// run_live() (and thus the health-ping loop) honest about future work.
   bool source_done_ = true;
 

@@ -52,10 +52,6 @@ void EngineConfig::validate() const {
   require_finite_non_negative(oom_restart_penalty, "oom_restart_penalty");
   require_finite_positive(monitor_interval, "monitor_interval");
   require_finite_positive(health_ping_interval, "health_ping_interval");
-  if (sched_workers < 1)
-    throw std::invalid_argument(
-        "EngineConfig: sched_workers must be >= 1, got " +
-        std::to_string(sched_workers));
   if (sched_batch_depth < 1)
     throw std::invalid_argument(
         "EngineConfig: sched_batch_depth must be >= 1, got " +

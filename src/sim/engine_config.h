@@ -1,5 +1,5 @@
 // Engine configuration: cluster shape, pipeline service times, monitoring
-// cadence, fault-injection knobs and the scheduling-parallelism controls.
+// cadence, fault-injection knobs and the scheduling-batch controls.
 // Split out of engine.h so the Cluster / Lifecycle / Controller layers can
 // share it without pulling in the engine itself.
 #pragma once
@@ -33,14 +33,6 @@ struct EngineConfig {
   /// When true, times each scheduling decision (speculation or serial
   /// select) with a real clock (Fig. 12c).
   bool measure_real_sched_overhead = false;
-
-  /// Worker threads for the parallel shard-decision phase (§6.4). Each event
-  /// barrier speculates the independent shard decisions of the batch across
-  /// this many threads (the calling thread participates), then commits the
-  /// grants serially in registration order — RunMetrics are bit-identical
-  /// for any value (asserted by the golden-replay test). 1 = decisions are
-  /// speculated inline, no threads are spawned.
-  int sched_workers = 1;
 
   /// Maximum scheduling decisions a shard serves per barrier event (§5l).
   /// 1 (default) reproduces the legacy one-decision-per-barrier engine
@@ -91,7 +83,7 @@ struct EngineConfig {
   /// Sampled churn extends this far past the last trace arrival.
   double churn_horizon_pad = 120.0;
 
-  // ---- Streaming / planet-scale (gen::TraceSource runs) ----
+  // ---- Streaming / planet-scale ----
   /// Keep the per-invocation InvocationRecord vector in RunMetrics. Off:
   /// records only flow through `record_sink` and RunMetrics keeps O(1)
   /// counters — required for memory-flat 10M-invocation runs.
@@ -108,8 +100,8 @@ struct EngineConfig {
   /// sim-seconds of the next pending event are admitted early. 0 = strict
   /// just-in-time admission (minimal live set, same event order).
   double admission_lookahead = 0.0;
-  /// Recycle terminal invocation records (their map nodes) through a free
-  /// list during streaming runs, so live memory tracks the in-flight count
+  /// Recycle terminal invocation records (their store slots) through a free
+  /// list during the run, so live memory tracks the in-flight count
   /// instead of the stream length. Checked by the invariant auditor: a
   /// recycled record is never referenced by a live continuation.
   bool recycle_records = false;

@@ -5,8 +5,11 @@
 namespace libra::sim {
 
 EventId EventQueue::schedule_lane(SimTime t, uint64_t lane, Callback fn) {
-  if (t < now_ - 1e-9)
-    throw std::invalid_argument("EventQueue: scheduling into the past");
+  // `!(t >= ...)` instead of `t < ...`: a NaN time must be rejected too, or
+  // it would poison the heap's ordering.
+  if (!(t >= now_ - 1e-9))
+    throw std::invalid_argument(
+        "EventQueue: scheduling into the past or at a NaN time");
   if (t < now_) t = now_;  // absorb float noise
   uint32_t slot;
   if (!free_.empty()) {

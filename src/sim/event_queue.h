@@ -33,8 +33,8 @@ class EventQueue {
   /// Current simulated time (time of the last dispatched event).
   SimTime now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `t` (>= now). Returns a handle usable
-  /// with cancel().
+  /// Schedules `fn` at absolute time `t` (>= now; a past or NaN `t` throws
+  /// std::invalid_argument). Returns a handle usable with cancel().
   EventId schedule(SimTime t, Callback fn) {
     return schedule_lane(t, kNormalLane, std::move(fn));
   }
@@ -45,10 +45,9 @@ class EventQueue {
   }
 
   /// Schedules an ARRIVAL: at equal timestamps it dispatches before every
-  /// normally scheduled event, regardless of scheduling order. The streaming
-  /// admission path uses this to reproduce the materialized engine's event
-  /// order, where all trace arrivals are scheduled ahead of every dynamic
-  /// event and therefore win every same-time tie.
+  /// normally scheduled event, regardless of scheduling order. The engine's
+  /// just-in-time admission uses this to keep the event order of scheduling
+  /// the whole trace up front, where every arrival wins every same-time tie.
   EventId schedule_arrival(SimTime t, Callback fn) {
     return schedule_lane(t, kArrivalLane, std::move(fn));
   }

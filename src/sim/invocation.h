@@ -18,8 +18,8 @@ namespace libra::sim {
 enum class InvOutcome { kDefault, kHarvested, kAccelerated, kSafeguarded };
 
 /// A profiler prediction computed speculatively (Policy::speculate_predict)
-/// on a worker thread and applied serially at the prediction barrier's
-/// commit position (§5l). Carries exactly the fields Policy::predict writes,
+/// against the frozen pre-barrier model and applied at the prediction
+/// barrier's commit position (§5l). Carries exactly the fields Policy::predict writes,
 /// so applying a memo is bit-identical to the serial call it replaces.
 struct PredictionMemo {
   Resources pred_demand;

@@ -47,8 +47,6 @@ ShardedController::ShardedController(EngineHost& host) : host_(host) {
   }
 }
 
-ShardedController::~ShardedController() = default;
-
 void ShardedController::admit(InvocationId id) {
   Invocation& v = host_.invocation(id);
   // Front ends spray invocations across shards; id-based assignment models
@@ -184,30 +182,24 @@ void ShardedController::run_barrier(SimTime at) {
   }
 
   // Phase 1 — speculate: read-only decisions from the frozen pre-batch view,
-  // fanned out across the worker pool. Decisions of distinct shards are
-  // independent by construction (disjoint shard slices, ping-time
-  // snapshots); order-dependent policies decline and stay serial.
+  // in registration order and before any commit, so every member decides
+  // against the same view. Decisions of distinct shards are independent by
+  // construction (disjoint shard slices, ping-time snapshots);
+  // order-dependent policies decline and decide at commit instead.
   const bool measure = host_.config().measure_real_sched_overhead;
-  auto speculate_one = [&](size_t i) {
-    const Invocation& inv = host_.invocation(items[i].inv);
-    if (inv.done) return;  // commit will skip it, as the serial engine did
+  for (Item& item : items) {
+    const Invocation& inv = host_.invocation(item.inv);
+    if (inv.done) continue;  // commit will skip it, as the serial engine did
     if (measure) {
       const auto t0 = WallClock::now();
-      items[i].speculated = host_.policy().speculate_select(inv, host_.api());
-      items[i].decision_seconds = wall_seconds_since(t0);
+      item.speculated = host_.policy().speculate_select(inv, host_.api());
+      item.decision_seconds = wall_seconds_since(t0);
     } else {
-      items[i].speculated = host_.policy().speculate_select(inv, host_.api());
+      item.speculated = host_.policy().speculate_select(inv, host_.api());
     }
-  };
-  const int workers = host_.config().sched_workers;
-  if (workers > 1 && items.size() > 1) {
-    if (!pool_) pool_ = std::make_unique<SchedWorkerPool>(workers);
-    pool_->run(items.size(), speculate_one);
-  } else {
-    for (size_t i = 0; i < items.size(); ++i) speculate_one(i);
   }
 
-  // Phase 2 — commit serially in registration order.
+  // Phase 2 — commit in registration order.
   for (const Item& item : items)
     commit_one(item.inv, item.speculated, item.decision_seconds);
 
@@ -258,25 +250,17 @@ void ShardedController::run_pred_barrier(SimTime at) {
   pred_batches_.pop_back();
 
   // Phase 1 — speculate: pure prediction memos computed from the frozen
-  // pre-barrier model state, fanned out across the worker pool. Predictions
-  // of trained functions are pure by contract (Policy::speculate_predict);
-  // anything order-dependent (first-seen training, suppression bookkeeping)
-  // declines and stays serial.
+  // pre-barrier model state, before any commit. Predictions of trained
+  // functions are pure by contract (Policy::speculate_predict); anything
+  // order-dependent (first-seen training, suppression bookkeeping) declines
+  // and is predicted at commit instead.
   std::vector<std::optional<PredictionMemo>> memos(ids.size());
-  auto speculate_one = [&](size_t i) {
+  for (size_t i = 0; i < ids.size(); ++i) {
     const Invocation& inv = host_.invocation(ids[i]);
-    if (inv.done) return;
-    memos[i] = host_.policy().speculate_predict(inv);
-  };
-  const int workers = host_.config().sched_workers;
-  if (workers > 1 && ids.size() > 1) {
-    if (!pool_) pool_ = std::make_unique<SchedWorkerPool>(workers);
-    pool_->run(ids.size(), speculate_one);
-  } else {
-    for (size_t i = 0; i < ids.size(); ++i) speculate_one(i);
+    if (!inv.done) memos[i] = host_.policy().speculate_predict(inv);
   }
 
-  // Phase 2 — commit serially in registration order: write (or compute) the
+  // Phase 2 — commit in registration order: write (or compute) the
   // prediction and schedule admission after profiler_delay, replicating the
   // serial path's per-event predict/schedule sequence — same relative order,
   // same timestamps.

@@ -3,40 +3,37 @@
 // decision service-time bookkeeping, and replaces the monolithic engine's
 // per-shard decision events with EVENT BARRIERS: all shards whose next
 // decision falls on the same timestamp form one batch. Each batch runs in
-// two phases —
+// two serial phases —
 //
-//   speculate: every member's Policy::speculate_select runs on a frozen
-//     pre-batch view, in parallel across the SchedWorkerPool (decisions of
+//   speculate: every member's Policy::speculate_select runs, in
+//     registration order, against the frozen pre-batch view (decisions of
 //     distinct shards touch disjoint shard slices, ping-time pool snapshots
 //     and the ping-based health view, none of which a same-batch commit can
 //     change);
-//   commit: grants are applied serially in shard-registration order; members
-//     whose policy declined to speculate run the ordinary order-dependent
+//   commit: grants are applied in shard-registration order; members whose
+//     policy declined to speculate run the ordinary order-dependent
 //     Policy::select_node right here, at exactly the position the serial
 //     engine would have run it.
 //
-// The merge rule makes RunMetrics bit-identical with 1 worker, N workers or
-// the pre-refactor engine (asserted by the golden-replay test).
+// The merge rule makes RunMetrics bit-identical to the pre-refactor engine
+// (asserted by the golden-replay test).
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "sim/engine_host.h"
-#include "sim/sched_worker_pool.h"
 
 namespace libra::sim {
 
 class ShardedController {
  public:
   explicit ShardedController(EngineHost& host);
-  ~ShardedController();
 
   /// Profiler stage complete: joins (or opens) the prediction barrier at the
-  /// current instant (§5l). The barrier speculates pure predictions across
-  /// the worker pool, commits them serially in registration order, and
+  /// current instant (§5l). The barrier speculates pure predictions against
+  /// the frozen pre-barrier model, commits them in registration order, and
   /// schedules each invocation's admission after profiler_delay — the serial
   /// path's per-event predict/schedule sequence, batched.
   void enqueue_prediction(InvocationId id);
@@ -64,13 +61,12 @@ class ShardedController {
   void pump(ShardId shard);
 
   /// The barrier event: pops up to EngineConfig::sched_batch_depth
-  /// invocations per registered shard, runs the speculate phase across the
-  /// worker pool, then commits serially in registration order and re-pumps
-  /// the member shards.
+  /// invocations per registered shard, runs the speculate phase, then
+  /// commits in registration order and re-pumps the member shards.
   void run_barrier(SimTime at);
 
-  /// The prediction barrier event (§5l): parallel Policy::speculate_predict
-  /// memos, serial commit_predict/predict + admission scheduling.
+  /// The prediction barrier event (§5l): Policy::speculate_predict memos,
+  /// then commit_predict/predict + admission scheduling.
   void run_pred_barrier(SimTime at);
 
   /// Applies one member's decision: the old monolithic try_place, with the
@@ -108,9 +104,6 @@ class ShardedController {
   std::vector<std::vector<InvocationId>> pred_spare_;
 
   std::deque<InvocationId> waiting_;  // parked until capacity frees
-
-  /// Lazily created on the first multi-member batch when sched_workers > 1.
-  std::unique_ptr<SchedWorkerPool> pool_;
 };
 
 }  // namespace libra::sim

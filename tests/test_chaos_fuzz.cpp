@@ -51,6 +51,8 @@ TEST(ChaosRepro, RejectsMalformedInput) {
 // Artifacts written before the multi-controller control plane carry no
 // `controllers` / `gossip` lines and an 8-operand `profile` line; they must
 // still parse, with the control-plane knobs at their transparent defaults.
+// They (like every artifact written before the scheduler worker pool was
+// removed) also carry a `workers_b` line, which is checked and discarded.
 TEST(ChaosRepro, AcceptsPreControlPlaneArtifacts) {
   const std::string legacy =
       "libra-chaos-repro v1\n"
@@ -74,7 +76,19 @@ TEST(ChaosRepro, AcceptsPreControlPlaneArtifacts) {
   // round-trips bit-identically.
   const std::string text = chaos::serialize_scenario(sc);
   EXPECT_NE(text.find("controllers 1 4"), std::string::npos);
+  EXPECT_EQ(text.find("workers_b"), std::string::npos);
   EXPECT_EQ(chaos::serialize_scenario(chaos::parse_scenario(text)), text);
+  // The discarded legacy line is still held to its old shape.
+  const auto with_workers = [&legacy](const std::string& line) {
+    const std::string old_line = "workers_b 4\n";
+    std::string bad = legacy;
+    bad.replace(bad.find(old_line), old_line.size(), line);
+    return bad;
+  };
+  EXPECT_THROW(chaos::parse_scenario(with_workers("workers_b 4 4\n")),
+               std::invalid_argument);
+  EXPECT_THROW(chaos::parse_scenario(with_workers("workers_b four\n")),
+               std::invalid_argument);
 }
 
 TEST(ChaosFuzzer, DeterministicAcrossInstances) {

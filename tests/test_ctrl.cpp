@@ -141,16 +141,17 @@ TEST(CtrlBatchDepth, DeeperBatchesCompleteTheSameWorkload) {
   EXPECT_GT(deep_done, 0);
 }
 
-TEST(CtrlBatchDepth, BatchedPathIsWorkerCountInvariant) {
-  // The worker pool only parallelizes the pure speculate phase; commits stay
-  // serial in registration order, so even the batched path must be
-  // bit-identical between 1 and 4 sched workers.
-  EngineConfig serial = exp::multi_node_config();
-  serial.sched_batch_depth = 4;
-  EngineConfig parallel = serial;
-  parallel.sched_workers = 4;
-  EXPECT_EQ(exp::run_metrics_digest(run_libra_burst(serial)),
-            exp::run_metrics_digest(run_libra_burst(parallel)));
+TEST(CtrlBatchDepth, BatchedPathIsControllerCountInvariant) {
+  // Commits stay in shard-registration order whichever front end owns an
+  // invocation, so even the batched path — several same-shard decisions per
+  // barrier on a deep burst queue, where stealing triggers — must be
+  // bit-identical between 1 and 4 pass-through controllers.
+  EngineConfig one = exp::multi_node_config();
+  one.sched_batch_depth = 4;
+  EngineConfig four = one;
+  four.control.num_controllers = 4;
+  EXPECT_EQ(exp::run_metrics_digest(run_libra_burst(one)),
+            exp::run_metrics_digest(run_libra_burst(four)));
 }
 
 // ------------------------------------------------------------------- gossip

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "baselines/default_policy.h"
 #include "exp/platforms.h"
 #include "exp/runner.h"
 #include "sim/engine.h"
 #include "workload/function_catalog.h"
+#include "workload/materialized_source.h"
 #include "workload/trace.h"
 
 namespace libra::sim {
@@ -153,6 +156,38 @@ TEST(Engine, DuplicateInvocationIdsRejected) {
   Engine engine(exp::single_node_config(),
                 std::make_shared<baselines::DefaultPolicy>());
   EXPECT_THROW(engine.run(std::move(trace)), std::invalid_argument);
+}
+
+// A NaN arrival fails every ordered comparison, so a `<`-style check lets it
+// through: admitted, it never becomes "due" and the admission loop spins.
+// Both overloads must reject it wherever it sits in the trace. The suite
+// runs under a ctest timeout (tests/CMakeLists.txt) so a regression fails
+// instead of hanging.
+std::vector<Invocation> trace_with_late_nan() {
+  auto trace = workload::burst_trace(*catalog(), 5, 11);
+  trace[2].arrival = std::numeric_limits<double>::quiet_NaN();
+  return trace;
+}
+
+TEST(EngineNanArrival, VectorOverloadRejectsLateNaN) {
+  Engine engine(exp::single_node_config(),
+                std::make_shared<baselines::DefaultPolicy>());
+  EXPECT_THROW(engine.run(trace_with_late_nan()), std::invalid_argument);
+}
+
+TEST(EngineNanArrival, SourceOverloadRejectsLateNaN) {
+  Engine engine(exp::single_node_config(),
+                std::make_shared<baselines::DefaultPolicy>());
+  workload::MaterializedSource source(trace_with_late_nan());
+  EXPECT_THROW(engine.run(source), std::invalid_argument);
+}
+
+TEST(EngineNanArrival, EventQueueRejectsNaNTime) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EventQueue queue;
+  EXPECT_THROW(queue.schedule(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(queue.schedule_arrival(nan, [] {}), std::invalid_argument);
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(Engine, MeasuresRealSchedulingOverheadWhenAsked) {

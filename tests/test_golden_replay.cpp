@@ -1,8 +1,10 @@
 // Golden-replay guard for the Cluster / Lifecycle / Controller decomposition:
 // proves that the barrier-batched, speculate-then-commit sharded controller
 // produces BIT-IDENTICAL RunMetrics to the pre-refactor monolithic engine,
-// with 1 worker and with 4 workers, across baselines, Libra and Libra+Trust
-// platforms and the order-dependent baseline schedulers.
+// with 1 and with 4 front-end controllers, across baselines, Libra and
+// Libra+Trust platforms and the order-dependent baseline schedulers. Every
+// case runs through the engine's one run loop: Engine::run(vector) pulls the
+// trace through workload::MaterializedSource.
 //
 // The pinned constants were captured from the monolithic engine (commit
 // 54422fc, before the decomposition) with tools/golden_capture.cpp at the
@@ -53,9 +55,8 @@ std::shared_ptr<const sim::FunctionCatalog> catalog() {
 }
 
 // Builds the scenario fresh on every call: policies are stateful, so each
-// (scenario, worker-count, controller-count) run needs its own instance.
-uint64_t run_scenario(const std::string& name, int sched_workers,
-                      int controllers = 1) {
+// (scenario, controller-count) run needs its own instance.
+uint64_t run_scenario(const std::string& name, int controllers = 1) {
   auto cat = catalog();
   sim::EngineConfig cfg;
   std::shared_ptr<sim::Policy> policy;
@@ -79,7 +80,6 @@ uint64_t run_scenario(const std::string& name, int sched_workers,
                               : exp::SchedulerKind::kMws;
     policy = exp::make_scheduler_platform(kind, cat);
   }
-  cfg.sched_workers = sched_workers;
   cfg.control.num_controllers = controllers;
   const auto metrics = exp::run_experiment(cfg, policy, std::move(trace));
   return exp::run_metrics_digest(metrics);
@@ -87,43 +87,26 @@ uint64_t run_scenario(const std::string& name, int sched_workers,
 
 class GoldenReplay : public ::testing::TestWithParam<GoldenCase> {};
 
+// "One worker": the serial speculate-then-commit decision path, the only
+// one the controller has.
 TEST_P(GoldenReplay, OneWorkerMatchesPreRefactorEngine) {
   const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_scenario(c.name, 1)),
-            exp::digest_hex(c.digest))
-      << "scenario " << c.name << " diverged from the pre-refactor engine "
-      << "with sched_workers=1";
-}
-
-TEST_P(GoldenReplay, FourWorkersMatchPreRefactorEngine) {
-  const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_scenario(c.name, 4)),
-            exp::digest_hex(c.digest))
-      << "scenario " << c.name << " diverged from the pre-refactor engine "
-      << "with sched_workers=4 — the parallel speculate/commit merge must be "
-      << "order-independent";
+  EXPECT_EQ(exp::digest_hex(run_scenario(c.name)), exp::digest_hex(c.digest))
+      << "scenario " << c.name << " diverged from the pre-refactor engine";
 }
 
 // Multi-controller digest identity (DESIGN.md §5k): with pass-through gossip
 // and full fan-out, every controller's pool-view cache equals the policy's
 // own piggybacked snapshot at all times, so sharding the catalog across four
 // front ends — with work stealing enabled — must still reproduce the
-// pre-refactor digests bit-for-bit, serial and parallel.
+// pre-refactor digests bit-for-bit.
 TEST_P(GoldenReplay, FourControllersOneWorkerMatchPreRefactorEngine) {
   const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_scenario(c.name, 1, /*controllers=*/4)),
+  EXPECT_EQ(exp::digest_hex(run_scenario(c.name, /*controllers=*/4)),
             exp::digest_hex(c.digest))
       << "scenario " << c.name << " diverged from the pre-refactor engine "
       << "with 4 controllers — catalog sharding, gossip caches or work "
       << "stealing leaked into engine behaviour";
-}
-
-TEST_P(GoldenReplay, FourControllersFourWorkersMatchPreRefactorEngine) {
-  const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_scenario(c.name, 4, /*controllers=*/4)),
-            exp::digest_hex(c.digest))
-      << "scenario " << c.name << " diverged from the pre-refactor engine "
-      << "with 4 controllers and 4 sched workers";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, GoldenReplay,
@@ -135,7 +118,7 @@ INSTANTIATE_TEST_SUITE_P(AllScenarios, GoldenReplay,
 // The digest itself must be stable across identical runs (no iteration-order
 // or address-dependent leakage into the hash).
 TEST(GoldenReplayDigest, DeterministicAcrossIdenticalRuns) {
-  EXPECT_EQ(run_scenario("libra", 1), run_scenario("libra", 1));
+  EXPECT_EQ(run_scenario("libra"), run_scenario("libra"));
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-// Streaming-equivalence guard for the pull-based TraceSource path: a
-// materialized trace pulled through Engine::run(gen::TraceSource&) must
-// reproduce the pre-refactor golden replay digests BIT-FOR-BIT (same pinned
-// constants as tests/test_golden_replay.cpp), with 1 and 4 scheduler
-// workers, with and without invocation-record recycling. Also checks the
-// sketch-backed sink mode (retain_records off): its aggregates must match
-// the retained records, and live memory must track the in-flight count.
+// Streaming guard for the pull-based TraceSource path: a materialized trace
+// pulled through Engine::run(gen::TraceSource&) must reproduce the
+// pre-refactor golden replay digests BIT-FOR-BIT (same pinned constants as
+// tests/test_golden_replay.cpp), plain, with invocation-record recycling,
+// and with recycling under 4 front-end controllers. The plain case drives
+// the stream overload directly; the golden-replay test reaches the same loop
+// through the Engine::run(vector) wrapper. Also checks the sketch-backed
+// sink mode (retain_records off): its aggregates must match the retained
+// records, and live memory must track the in-flight count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -73,13 +75,13 @@ void build_scenario(const std::string& name, sim::EngineConfig* cfg,
   }
 }
 
-uint64_t run_streamed(const std::string& name, int sched_workers,
+uint64_t run_streamed(const std::string& name, int controllers,
                       bool recycle) {
   sim::EngineConfig cfg;
   std::shared_ptr<sim::Policy> policy;
   std::vector<sim::Invocation> trace;
   build_scenario(name, &cfg, &policy, &trace);
-  cfg.sched_workers = sched_workers;
+  cfg.control.num_controllers = controllers;
   cfg.recycle_records = recycle;
   workload::MaterializedSource source(std::move(trace));
   const auto metrics = exp::run_experiment(cfg, policy, source);
@@ -88,20 +90,14 @@ uint64_t run_streamed(const std::string& name, int sched_workers,
 
 class StreamingGolden : public ::testing::TestWithParam<StreamCase> {};
 
+// "One worker": the serial speculate-then-commit decision path, the only
+// one the controller has.
 TEST_P(StreamingGolden, OneWorkerMatchesGoldenDigest) {
   const auto& c = GetParam();
   EXPECT_EQ(exp::digest_hex(run_streamed(c.name, 1, false)),
             exp::digest_hex(c.digest))
       << "streaming admission diverged from the materialized path for "
       << c.name;
-}
-
-TEST_P(StreamingGolden, FourWorkersMatchGoldenDigest) {
-  const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_streamed(c.name, 4, false)),
-            exp::digest_hex(c.digest))
-      << "streaming admission diverged from the materialized path for "
-      << c.name << " with sched_workers=4";
 }
 
 TEST_P(StreamingGolden, RecyclingPreservesGoldenDigest) {
@@ -111,14 +107,14 @@ TEST_P(StreamingGolden, RecyclingPreservesGoldenDigest) {
       << "record recycling perturbed the replay for " << c.name;
 }
 
-TEST_P(StreamingGolden, RecyclingWithFourWorkersPreservesGoldenDigest) {
-  // Slot recycling and the parallel speculate/commit barriers must compose:
-  // a recycled slab slot re-used mid-run cannot leak stale state into the
-  // flat store's lookups or the prediction barrier's memo pass.
+TEST_P(StreamingGolden, RecyclingWithFourControllersPreservesGoldenDigest) {
+  // Slot recycling and the control plane must compose: a recycled slab slot
+  // re-used mid-run cannot leak stale state into the flat store's lookups,
+  // the controllers' queue-depth bookkeeping or work stealing.
   const auto& c = GetParam();
   EXPECT_EQ(exp::digest_hex(run_streamed(c.name, 4, true)),
             exp::digest_hex(c.digest))
-      << "record recycling + 4 sched workers perturbed the replay for "
+      << "record recycling + 4 controllers perturbed the replay for "
       << c.name;
 }
 
@@ -202,24 +198,24 @@ TEST(Streaming, RecyclingKeepsLiveRecordsBelowTraceLength) {
 
 // ---------------- synthetic source end-to-end ----------------
 
-TEST(Streaming, SyntheticSourceIsDeterministicAcrossWorkerCounts) {
+TEST(Streaming, SyntheticSourceIsDeterministicAcrossControllerCounts) {
   gen::GenConfig gcfg;
   gcfg.functions = 200;
   gcfg.rpm = 3000.0;
   gcfg.duration = 60.0;
   gcfg.seed = 99;
-  const auto run = [&](int workers) {
+  const auto run = [&](int controllers) {
     auto catalog = std::make_shared<const sim::FunctionCatalog>(
         gen::synthetic_catalog(gcfg));
     gen::SyntheticSource source(gcfg, catalog);
     auto cfg = exp::jetstream_config(8, 4);
-    cfg.sched_workers = workers;
+    cfg.control.num_controllers = controllers;
     auto policy = exp::make_platform(exp::PlatformKind::kDefault, catalog);
     return exp::run_metrics_digest(exp::run_experiment(cfg, policy, source));
   };
   const uint64_t one = run(1);
   EXPECT_EQ(one, run(1)) << "same seed must replay bit-identically";
-  EXPECT_EQ(one, run(4)) << "worker count must not perturb the replay";
+  EXPECT_EQ(one, run(4)) << "controller count must not perturb the replay";
 }
 
 }  // namespace
