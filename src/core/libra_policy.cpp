@@ -158,33 +158,9 @@ void LibraPolicy::predict(Invocation& inv) {
   }
 }
 
-std::optional<sim::PredictionMemo> LibraPolicy::speculate_predict(
-    const Invocation& inv) const {
-  // Freyr-style suppression consumes suppress_next_ inside predict();
-  // the trust layer stashes raw_pred_ and may serve from the mutable
-  // fallback path. Both are order-dependent — stay serial.
-  if (!cfg_.preemptive_release_on_safeguard || trust_) return std::nullopt;
-  return predictor_->speculate_predict(inv);
-}
-
 NodeId LibraPolicy::select_node(Invocation& inv, EngineApi& api) {
   last_seen_now_ = api.now();
   return scheduler_->select(inv, api);
-}
-
-std::optional<NodeId> LibraPolicy::speculate_select(
-    const Invocation& inv, const sim::EngineApi& api) const {
-  // Pure: the scheduler's speculation reads only ping-time snapshots
-  // (pool_status is a const map lookup) and the frozen cluster view.
-  return scheduler_->speculate(inv, api);
-}
-
-void LibraPolicy::commit_select(Invocation& inv, EngineApi& api) {
-  (void)inv;
-  // Replicates select_node's only side effect on the speculative path: the
-  // idle-integral clock advance. The scheduler itself mutated nothing (the
-  // sticky hash is never taken when speculation returns a node).
-  last_seen_now_ = api.now();
 }
 
 double LibraPolicy::predicted_exec_time(const Invocation& inv,

@@ -143,8 +143,7 @@ void Profiler::train_function(FunctionId func, const InputSpec& first_input,
                << (related ? " -> ML" : " -> histogram");
 }
 
-sim::PredictionMemo Profiler::memo_ml(const FuncState& state,
-                                      const Invocation& inv) const {
+void Profiler::serve_ml(const FuncState& state, Invocation& inv) const {
   const ml::FeatureRow row = {inv.input.size};
   const double cpu = std::max(1, state.cpu_clf.predict(row));
   // Memory classes map back to the bucket's upper edge: a conservative
@@ -152,49 +151,32 @@ sim::PredictionMemo Profiler::memo_ml(const FuncState& state,
   const double mem =
       (static_cast<double>(state.mem_clf.predict(row)) + 1.0) *
       cfg_.mem_class_mb;
-  sim::PredictionMemo memo;
-  memo.pred_demand = {cpu, mem};
-  memo.pred_duration = std::max(0.01, state.dur_reg.predict(row));
-  memo.pred_size_related = true;
-  return memo;
+  inv.pred_demand = {cpu, mem};
+  inv.pred_duration = std::max(0.01, state.dur_reg.predict(row));
+  inv.pred_size_related = true;
+  inv.first_seen = false;
 }
 
-sim::PredictionMemo Profiler::memo_histogram(const FuncState& state,
-                                             const Invocation& inv) const {
-  sim::PredictionMemo memo;
-  memo.pred_size_related = false;
+void Profiler::serve_histogram(const FuncState& state, Invocation& inv) const {
+  inv.pred_size_related = false;
+  inv.first_seen = false;
   if (state.observations < cfg_.profiling_window || state.hist_cpu.empty()) {
     // Profiling window: serve with maximum allocation to inspect real peaks
     // (§4.3.2). The probe allocation is granted from node free capacity by
     // the policy, not borrowed from the harvest pool.
-    memo.profiling_probe = true;
-    memo.pred_demand = Resources::max(inv.user_alloc, cfg_.profiling_max);
-    memo.pred_duration = state.hist_dur.empty()
-                             ? state.pilot_median_duration
-                             : state.hist_dur.percentile(50.0);
-    return memo;
+    inv.profiling_probe = true;
+    inv.pred_demand = Resources::max(inv.user_alloc, cfg_.profiling_max);
+    inv.pred_duration = state.hist_dur.empty()
+                            ? state.pilot_median_duration
+                            : state.hist_dur.percentile(50.0);
+    return;
   }
   const double cpu = std::ceil(state.hist_cpu.percentile(cfg_.peak_percentile));
   const double mem = state.hist_mem.percentile(cfg_.peak_percentile);
-  memo.pred_demand = {std::max(1.0, cpu), std::max(64.0, mem)};
-  memo.pred_duration =
+  inv.pred_demand = {std::max(1.0, cpu), std::max(64.0, mem)};
+  inv.pred_duration =
       std::max(0.01, state.hist_dur.percentile(cfg_.duration_percentile));
-  return memo;
 }
-
-namespace {
-
-/// Writes a serving memo into the invocation — the exact field set the old
-/// in-place predict paths wrote (profiling_probe is set, never cleared).
-void apply_memo(const sim::PredictionMemo& memo, Invocation& inv) {
-  inv.pred_demand = memo.pred_demand;
-  inv.pred_duration = memo.pred_duration;
-  inv.pred_size_related = memo.pred_size_related;
-  inv.first_seen = memo.first_seen;
-  if (memo.profiling_probe) inv.profiling_probe = true;
-}
-
-}  // namespace
 
 void Profiler::predict(Invocation& inv) {
   auto& state = functions_[inv.func];
@@ -208,18 +190,10 @@ void Profiler::predict(Invocation& inv) {
     inv.pred_size_related = state.mode == Mode::kMl;
     return;
   }
-  apply_memo(state.mode == Mode::kMl ? memo_ml(state, inv)
-                                     : memo_histogram(state, inv),
-             inv);
-}
-
-std::optional<sim::PredictionMemo> Profiler::speculate_predict(
-    const Invocation& inv) const {
-  const auto it = functions_.find(inv.func);
-  if (it == functions_.end() || it->second.mode == Mode::kUntrained)
-    return std::nullopt;  // first-seen: predict() trains, must run serially
-  return it->second.mode == Mode::kMl ? memo_ml(it->second, inv)
-                                      : memo_histogram(it->second, inv);
+  if (state.mode == Mode::kMl)
+    serve_ml(state, inv);
+  else
+    serve_histogram(state, inv);
 }
 
 void Profiler::predict_fallback(Invocation& inv) {
@@ -234,7 +208,7 @@ void Profiler::predict_fallback(Invocation& inv) {
     inv.pred_size_related = false;
     return;
   }
-  apply_memo(memo_histogram(it->second, inv), inv);
+  serve_histogram(it->second, inv);
 }
 
 void Profiler::observe(const Observation& obs) {

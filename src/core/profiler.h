@@ -71,11 +71,6 @@ class Profiler final : public DemandPredictor {
 
   std::string name() const override { return "libra-profiler"; }
   void predict(sim::Invocation& inv) override;
-  /// Pure prediction memo for trained functions (the ML and histogram
-  /// serving paths are const); declines for first-seen functions, whose
-  /// predict() trains.
-  std::optional<sim::PredictionMemo> speculate_predict(
-      const sim::Invocation& inv) const override;
   void observe(const Observation& obs) override;
 
   /// Offline initialization (§8.2.3): trains the per-function models on a
@@ -125,12 +120,11 @@ class Profiler final : public DemandPredictor {
 
   void train_function(sim::FunctionId func, const sim::InputSpec& first_input,
                       FuncState& state);
-  /// Pure serving paths, shared by predict(), predict_fallback() and
-  /// speculate_predict(): build the memo, never touch state.
-  sim::PredictionMemo memo_ml(const FuncState& state,
-                              const sim::Invocation& inv) const;
-  sim::PredictionMemo memo_histogram(const FuncState& state,
-                                     const sim::Invocation& inv) const;
+  /// Serving paths of trained functions, shared by predict() and
+  /// predict_fallback(): write the prediction fields of `inv` (setting,
+  /// never clearing, profiling_probe), never touch profiler state.
+  void serve_ml(const FuncState& state, sim::Invocation& inv) const;
+  void serve_histogram(const FuncState& state, sim::Invocation& inv) const;
 
   ProfilerConfig cfg_;
   std::shared_ptr<const sim::FunctionCatalog> catalog_;

@@ -38,8 +38,8 @@ NodeId StickyHashState::pick(Invocation& inv, EngineApi& api) {
   return kNoNode;
 }
 
-NodeId CoverageScheduler::coverage_pick(const Invocation& inv,
-                                        const sim::EngineApi& api) const {
+NodeId CoverageScheduler::select(Invocation& inv, EngineApi& api) {
+  if (!inv.accelerable()) return hash_.pick(inv, api);
   // Extra demand beyond the user allocation, and the window it is needed for.
   const sim::Resources extra =
       (inv.pred_demand - inv.user_alloc).clamped_non_negative();
@@ -69,21 +69,8 @@ NodeId CoverageScheduler::coverage_pick(const Invocation& inv,
       best = node.id();
     }
   }
-  return best;
-}
-
-NodeId CoverageScheduler::select(Invocation& inv, EngineApi& api) {
-  if (!inv.accelerable()) return hash_.pick(inv, api);
-  const NodeId best = coverage_pick(inv, api);
+  // No node offers coverage: fall back to container locality.
   if (best == kNoNode) return hash_.pick(inv, api);
-  return best;
-}
-
-std::optional<NodeId> CoverageScheduler::speculate(
-    const Invocation& inv, const sim::EngineApi& api) const {
-  if (!inv.accelerable()) return std::nullopt;  // sticky hash mutates salt_
-  const NodeId best = coverage_pick(inv, api);
-  if (best == kNoNode) return std::nullopt;  // would fall back to the hash
   return best;
 }
 

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -22,15 +21,6 @@ class SchedulerStrategy {
   virtual std::string name() const = 0;
   /// Returns a feasible node for the invocation or sim::kNoNode.
   virtual sim::NodeId select(sim::Invocation& inv, sim::EngineApi& api) = 0;
-  /// Read-only speculative decision for the sharded controller's barrier
-  /// (Policy::speculate_select contract: pure, nullopt when the decision is
-  /// order-dependent). Default: never speculate.
-  virtual std::optional<sim::NodeId> speculate(const sim::Invocation& inv,
-                                               const sim::EngineApi& api) const {
-    (void)inv;
-    (void)api;
-    return std::nullopt;
-  }
 };
 
 using SchedulerPtr = std::shared_ptr<SchedulerStrategy>;
@@ -74,21 +64,10 @@ class CoverageScheduler final : public SchedulerStrategy {
 
   std::string name() const override { return "libra-coverage"; }
   sim::NodeId select(sim::Invocation& inv, sim::EngineApi& api) override;
-  /// The coverage scan reads only the invocation's own shard slice, the
-  /// ping-time pool snapshots and the ping-based health view — all frozen
-  /// within a decision batch — so it speculates safely. Declines (nullopt)
-  /// for non-accelerable invocations and when no node offers coverage: both
-  /// fall back to the order-dependent sticky hash.
-  std::optional<sim::NodeId> speculate(const sim::Invocation& inv,
-                                       const sim::EngineApi& api) const override;
 
   double alpha() const { return alpha_; }
 
  private:
-  /// The pure greedy max-coverage scan shared by select and speculate.
-  sim::NodeId coverage_pick(const sim::Invocation& inv,
-                            const sim::EngineApi& api) const;
-
   const PoolStatusProvider* provider_;
   double alpha_;
   StickyHashState hash_;

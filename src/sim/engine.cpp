@@ -75,10 +75,10 @@ RunMetrics Engine::run(gen::TraceSource& source) {
   ctrlplane_->start(metrics_.first_arrival);
   SimTime last_admitted = *first;
   for (;;) {
-    // Admit everything due at or before the next event (plus the look-ahead
-    // window). Arrivals enter on the event queue's arrival lane, so they
-    // beat every same-time dynamic event, exactly as if the whole trace had
-    // been scheduled before the run started.
+    // Admit everything due at or before the next event. Arrivals enter on
+    // the event queue's arrival lane, so they beat every same-time dynamic
+    // event, exactly as if the whole trace had been scheduled before the run
+    // started.
     while (!source_done_) {
       const auto at = source.peek_arrival();
       if (!at.has_value()) {
@@ -91,8 +91,9 @@ RunMetrics Engine::run(gen::TraceSource& source) {
       if (!(*at >= last_admitted))
         throw std::invalid_argument(
             "Engine: NaN arrival or stream not sorted by arrival time");
-      const SimTime due =
-          std::max(queue_.next_time(), queue_.now() + cfg_.admission_lookahead);
+      // The max matters: schedule() accepts times down to now - 1e-9, so the
+      // next event can sit just below now.
+      const SimTime due = std::max(queue_.next_time(), queue_.now());
       if (*at > due) break;
       last_admitted = *at;
       admit_streamed(source.next());
@@ -188,12 +189,11 @@ void Engine::on_arrival(InvocationId id) {
 }
 
 void Engine::on_profiled(InvocationId id) {
-  // Prediction is batched with every other same-instant profiler completion
-  // and hoisted into the controller's prediction barrier (§5l): pure
-  // speculation first, then commits and admission scheduling in registration
-  // order — the serial path's relative ordering, at the barrier's position
-  // in the event stream.
-  controller_->enqueue_prediction(id);
+  Invocation& inv = invocation(id);
+  if (inv.done) return;
+  policy_->predict(inv);
+  inv.t_profiler_done = now() + cfg_.profiler_delay;
+  queue_.schedule(inv.t_profiler_done, [this, id] { controller_->admit(id); });
 }
 
 }  // namespace libra::sim

@@ -2,7 +2,7 @@
 // Fig. 3 for every invocation in a trace against a pluggable Policy:
 //
 //   arrival -> frontend -> profiler (Policy::predict) -> shard queue ->
-//   scheduling decision (Policy::select_node / speculate_select) ->
+//   scheduling decision (Policy::select_node) ->
 //   reservation -> harvest/accelerate (Policy::plan_allocation) ->
 //   container start -> execution (piecewise progress, monitor ticks, OOM) ->
 //   completion (Policy::on_complete, pending retries, model updates)
@@ -11,7 +11,8 @@
 //   ClusterState        — nodes, reservations, health view, usage series;
 //   InvocationLifecycle — the per-invocation state machine;
 //   ShardedController   — per-shard queues and the barrier-batched
-//                         speculate-then-commit scheduling decisions of §6.4.
+//                         scheduling decisions of §6.4, committed one
+//                         Policy::select_node call at a time.
 #pragma once
 
 #include <memory>
@@ -43,9 +44,8 @@ class Engine final : public EngineApi, private EngineHost {
   /// pulled through workload::MaterializedSource into run(source).
   RunMetrics run(std::vector<Invocation> trace);
 
-  /// The run loop: pulls invocations from `source` just in time (plus
-  /// EngineConfig::admission_lookahead), so live memory tracks the in-flight
-  /// count instead of the stream length. Arrivals enter through the event
+  /// The run loop: pulls invocations from `source` just in time, so live
+  /// memory tracks the in-flight count instead of the stream length. Arrivals enter through the event
   /// queue's arrival lane, so at equal timestamps they beat every dynamic
   /// event — the event order of scheduling the whole trace up front. Throws
   /// std::invalid_argument on a negative, NaN or out-of-order arrival and

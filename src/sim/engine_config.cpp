@@ -52,10 +52,6 @@ void EngineConfig::validate() const {
   require_finite_non_negative(oom_restart_penalty, "oom_restart_penalty");
   require_finite_positive(monitor_interval, "monitor_interval");
   require_finite_positive(health_ping_interval, "health_ping_interval");
-  if (sched_batch_depth < 1)
-    throw std::invalid_argument(
-        "EngineConfig: sched_batch_depth must be >= 1, got " +
-        std::to_string(sched_batch_depth));
   require_finite_non_negative(retry_backoff_base, "retry_backoff_base");
   require_finite_non_negative(retry_backoff_cap, "retry_backoff_cap");
   if (max_fault_retries < 0 || max_oom_retries < 0)
@@ -66,7 +62,6 @@ void EngineConfig::validate() const {
   require_finite_non_negative(churn_horizon_pad, "churn_horizon_pad");
   require_finite_non_negative(spot_drain_notice, "spot_drain_notice");
   require_finite_non_negative(series_resolution, "series_resolution");
-  require_finite_non_negative(admission_lookahead, "admission_lookahead");
   control.validate();
   fault_plan.validate(node_capacities.size());
   fault_profile.validate();

@@ -30,18 +30,9 @@ struct EngineConfig {
   double monitor_interval = 0.1;         // §5.2 monitor window
   double health_ping_interval = 1.0;     // pool-status piggyback period
   double oom_restart_penalty = 1.0;      // container kill + restart cost
-  /// When true, times each scheduling decision (speculation or serial
-  /// select) with a real clock (Fig. 12c).
+  /// When true, times each scheduling decision (Policy::select_node) with a
+  /// real clock (Fig. 12c).
   bool measure_real_sched_overhead = false;
-
-  /// Maximum scheduling decisions a shard serves per barrier event (§5l).
-  /// 1 (default) reproduces the legacy one-decision-per-barrier engine
-  /// bit-for-bit. Higher depths amortize barrier overhead over up to k
-  /// queued invocations per shard: each decision still pays
-  /// sched_decision_delay (busy_until advances by depth * delay), and
-  /// same-shard conflicts are caught by commit-time try_reserve validation.
-  /// Changes event timing when > 1, so golden digests only pin depth 1.
-  int sched_batch_depth = 1;
 
   /// Multi-controller control plane (src/sim/ctrl, DESIGN.md §5k): number
   /// of front-end controllers, gossip feeding of their pool-view caches and
@@ -96,10 +87,6 @@ struct EngineConfig {
   /// 0 = record every change: exact, but O(#events) series memory plus an
   /// O(#nodes) allocated-sum per sample — prohibitive at planet scale.
   double series_resolution = 0.0;
-  /// Streaming admission look-ahead: arrivals due within this many
-  /// sim-seconds of the next pending event are admitted early. 0 = strict
-  /// just-in-time admission (minimal live set, same event order).
-  double admission_lookahead = 0.0;
   /// Recycle terminal invocation records (their store slots) through a free
   /// list during the run, so live memory tracks the in-flight count
   /// instead of the stream length. Checked by the invariant auditor: a

@@ -17,10 +17,9 @@ namespace libra::sim {
 /// earlier harvesting/acceleration.
 enum class InvOutcome { kDefault, kHarvested, kAccelerated, kSafeguarded };
 
-/// A profiler prediction computed speculatively (Policy::speculate_predict)
-/// against the frozen pre-barrier model and applied at the prediction
-/// barrier's commit position (§5l). Carries exactly the fields Policy::predict writes,
-/// so applying a memo is bit-identical to the serial call it replaces.
+/// The fields Policy::predict writes, as a value. Only the two unused
+/// prediction virtuals of sim::Policy still take it; it goes with them at
+/// the next benchmark change.
 struct PredictionMemo {
   Resources pred_demand;
   double pred_duration = 0.0;

@@ -123,25 +123,14 @@ class Policy {
   /// pred_size_related / first_seen.
   virtual void predict(Invocation& inv) = 0;
 
-  /// Optional speculative form of the Step-3 prediction, used by the
-  /// controller's prediction barrier (§5l). Every same-instant prediction is
-  /// speculated before any of them commits, so it must be PURE: no policy or
-  /// predictor state may be mutated, and the returned memo must equal
-  /// exactly what predict() would write given the current state.
-  /// Return nullopt whenever predict() would mutate state (first-seen
-  /// training, suppression bookkeeping, trust stashes) — the barrier then
-  /// calls predict() at the invocation's commit position, which is always
-  /// correct.
+  /// Unused: the engine never calls it; goes with the next benchmark change.
   virtual std::optional<PredictionMemo> speculate_predict(
       const Invocation& inv) const {
     (void)inv;
     return std::nullopt;
   }
 
-  /// Applies a successfully speculated prediction at the serial commit
-  /// position. The default writes the memo's fields — exactly the Invocation
-  /// writes of a pure predict(). Policies whose predict() has additional
-  /// per-call side effects must decline speculation or replicate them here.
+  /// Unused: the engine never calls it; goes with the next benchmark change.
   virtual void commit_predict(Invocation& inv, const PredictionMemo& memo) {
     inv.pred_demand = memo.pred_demand;
     inv.pred_duration = memo.pred_duration;
@@ -155,17 +144,7 @@ class Policy {
   /// capacity frees up.
   virtual NodeId select_node(Invocation& inv, EngineApi& api) = 0;
 
-  /// Optional speculative form of the Step-4 decision, used by the sharded
-  /// controller's decision barrier (§6.4). Called on a frozen pre-batch view
-  /// of the cluster — every member of the batch speculates before any of
-  /// them commits — so it must be PURE: no policy or scheduler state may be
-  /// mutated, and the decision must depend only on state that no same-batch
-  /// commit can change (the invocation's own shard slice, ping-time pool
-  /// snapshots, the ping-based health view). Return nullopt whenever the
-  /// decision is order-dependent — the controller then runs select_node at
-  /// the invocation's commit position, which is always correct.
-  /// When a node IS returned, the controller commits it via commit_select
-  /// instead of calling select_node.
+  /// Unused: the engine never calls it; goes with the next benchmark change.
   virtual std::optional<NodeId> speculate_select(const Invocation& inv,
                                                  const EngineApi& api) const {
     (void)inv;
@@ -173,11 +152,7 @@ class Policy {
     return std::nullopt;
   }
 
-  /// Applies select_node's side effects for a decision that was speculated
-  /// successfully (speculate_select returned a node). Runs at the commit
-  /// position. Policies whose select_node mutates state on EVERY call (not
-  /// just on the paths speculate_select declines) must replicate that here,
-  /// or the barrier diverges from the one-decision-at-a-time engine.
+  /// Unused: the engine never calls it; goes with the next benchmark change.
   virtual void commit_select(Invocation& inv, EngineApi& api) {
     (void)inv;
     (void)api;

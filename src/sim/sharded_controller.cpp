@@ -149,62 +149,26 @@ void ShardedController::run_barrier(SimTime at) {
   batches_[slot] = std::move(batches_.back());
   batches_.pop_back();
 
-  // Pop up to sched_batch_depth invocations per member shard NOW (not at
-  // registration time): same-time retries may have pushed a different
-  // invocation to the front, exactly as the serial per-shard decision events
-  // observed it. At depth 1 (default) this is bit-for-bit the legacy
-  // one-per-shard barrier. At depth k the shard amortizes one barrier over up
-  // to k decisions: same-shard items may speculate against capacity an
-  // earlier sibling commits away, but commit-time try_reserve validation
-  // catches the conflict and parks the loser — the documented stale-view
-  // path, never an over-commit.
-  struct Item {
-    InvocationId inv = kNoInvocation;
-    std::optional<NodeId> speculated;
-    double decision_seconds = 0.0;
-  };
-  const int depth = std::max(1, host_.config().sched_batch_depth);
-  std::vector<Item> items;
-  items.reserve(members.size() * static_cast<size_t>(depth));
+  // Pop one invocation per member shard NOW (not at registration time):
+  // same-time retries may have pushed a different invocation to the front,
+  // exactly as the serial per-shard decision events observed it. Every
+  // member pops before any commits, then the decisions commit in
+  // registration order.
+  std::vector<InvocationId> popped;
+  popped.reserve(members.size());
   for (ShardId shard : members) {
     const auto s = static_cast<size_t>(shard);
     shard_registered_[s] = false;
-    int popped = 0;
-    while (popped < depth && !shard_queues_[s].empty()) {
-      items.push_back({shard_queues_[s].front(), std::nullopt, 0.0});
-      shard_queues_[s].pop_front();
-      host_.control().on_dequeued(items.back().inv);
-      ++popped;
-    }
-    if (popped > 0)
-      shard_busy_until_[s] =
-          at + host_.config().sched_decision_delay * popped;
+    if (shard_queues_[s].empty()) continue;
+    popped.push_back(shard_queues_[s].front());
+    shard_queues_[s].pop_front();
+    host_.control().on_dequeued(popped.back());
+    shard_busy_until_[s] = at + host_.config().sched_decision_delay;
   }
+  for (InvocationId id : popped) commit_one(id);
 
-  // Phase 1 — speculate: read-only decisions from the frozen pre-batch view,
-  // in registration order and before any commit, so every member decides
-  // against the same view. Decisions of distinct shards are independent by
-  // construction (disjoint shard slices, ping-time snapshots);
-  // order-dependent policies decline and decide at commit instead.
-  const bool measure = host_.config().measure_real_sched_overhead;
-  for (Item& item : items) {
-    const Invocation& inv = host_.invocation(item.inv);
-    if (inv.done) continue;  // commit will skip it, as the serial engine did
-    if (measure) {
-      const auto t0 = WallClock::now();
-      item.speculated = host_.policy().speculate_select(inv, host_.api());
-      item.decision_seconds = wall_seconds_since(t0);
-    } else {
-      item.speculated = host_.policy().speculate_select(inv, host_.api());
-    }
-  }
-
-  // Phase 2 — commit in registration order.
-  for (const Item& item : items)
-    commit_one(item.inv, item.speculated, item.decision_seconds);
-
-  // Phase 3 — re-pump the member shards, in the same order the serial
-  // engine's per-shard events would have re-armed themselves.
+  // Re-pump the member shards, in the same order the serial engine's
+  // per-shard events would have re-armed themselves.
   for (ShardId shard : members) pump(shard);
   batch_spare_.push_back(std::move(members));
 
@@ -215,72 +179,7 @@ void ShardedController::run_barrier(SimTime at) {
   host_.control().maybe_steal();
 }
 
-void ShardedController::enqueue_prediction(InvocationId id) {
-  const SimTime at = host_.queue().now();
-  for (auto& batch : pred_batches_) {
-    if (batch.first == at) {
-      batch.second.push_back(id);
-      return;  // joins the barrier; its event is already scheduled
-    }
-  }
-  std::vector<InvocationId> ids;
-  if (!pred_spare_.empty()) {
-    ids = std::move(pred_spare_.back());
-    pred_spare_.pop_back();
-    ids.clear();
-  }
-  ids.push_back(id);
-  pred_batches_.emplace_back(at, std::move(ids));
-  host_.queue().schedule(at, [this, at] { run_pred_barrier(at); });
-}
-
-void ShardedController::run_pred_barrier(SimTime at) {
-  size_t slot = pred_batches_.size();
-  for (size_t i = 0; i < pred_batches_.size(); ++i)
-    if (pred_batches_[i].first == at) {
-      slot = i;
-      break;
-    }
-  if (slot == pred_batches_.size()) return;
-  std::vector<InvocationId> ids = std::move(pred_batches_[slot].second);
-  // Same erase-before-process discipline as the decision barrier: profiler
-  // completions landing at this instant from later handlers open a fresh
-  // barrier with a fresh, later event.
-  pred_batches_[slot] = std::move(pred_batches_.back());
-  pred_batches_.pop_back();
-
-  // Phase 1 — speculate: pure prediction memos computed from the frozen
-  // pre-barrier model state, before any commit. Predictions of trained
-  // functions are pure by contract (Policy::speculate_predict); anything
-  // order-dependent (first-seen training, suppression bookkeeping) declines
-  // and is predicted at commit instead.
-  std::vector<std::optional<PredictionMemo>> memos(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const Invocation& inv = host_.invocation(ids[i]);
-    if (!inv.done) memos[i] = host_.policy().speculate_predict(inv);
-  }
-
-  // Phase 2 — commit in registration order: write (or compute) the
-  // prediction and schedule admission after profiler_delay, replicating the
-  // serial path's per-event predict/schedule sequence — same relative order,
-  // same timestamps.
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const InvocationId id = ids[i];
-    Invocation& inv = host_.invocation(id);
-    if (inv.done) continue;
-    if (memos[i].has_value())
-      host_.policy().commit_predict(inv, *memos[i]);
-    else
-      host_.policy().predict(inv);
-    inv.t_profiler_done = at + host_.config().profiler_delay;
-    host_.queue().schedule(inv.t_profiler_done, [this, id] { admit(id); });
-  }
-  pred_spare_.push_back(std::move(ids));
-}
-
-void ShardedController::commit_one(InvocationId id,
-                                   const std::optional<NodeId>& speculated,
-                                   double decision_seconds) {
+void ShardedController::commit_one(InvocationId id) {
   Invocation& inv = host_.invocation(id);
   if (inv.done) return;
   EngineApi& api = host_.api();
@@ -288,15 +187,7 @@ void ShardedController::commit_one(InvocationId id,
   const SimTime now = host_.queue().now();
   ++metrics.sched_decisions;
   NodeId chosen = kNoNode;
-  if (speculated.has_value()) {
-    host_.policy().commit_select(inv, api);
-    chosen = *speculated;
-    if (host_.config().measure_real_sched_overhead) {
-      metrics.sched_overhead_sum += decision_seconds;
-      if (host_.config().retain_records)
-        metrics.sched_overhead_seconds.push_back(decision_seconds);
-    }
-  } else if (host_.config().measure_real_sched_overhead) {
+  if (host_.config().measure_real_sched_overhead) {
     const auto t0 = WallClock::now();
     chosen = host_.policy().select_node(inv, api);
     const double secs = wall_seconds_since(t0);

@@ -2,25 +2,16 @@
 // per-shard FIFO queues, the parked-invocation list and the per-shard
 // decision service-time bookkeeping, and replaces the monolithic engine's
 // per-shard decision events with EVENT BARRIERS: all shards whose next
-// decision falls on the same timestamp form one batch. Each batch runs in
-// two serial phases —
-//
-//   speculate: every member's Policy::speculate_select runs, in
-//     registration order, against the frozen pre-batch view (decisions of
-//     distinct shards touch disjoint shard slices, ping-time pool snapshots
-//     and the ping-based health view, none of which a same-batch commit can
-//     change);
-//   commit: grants are applied in shard-registration order; members whose
-//     policy declined to speculate run the ordinary order-dependent
-//     Policy::select_node right here, at exactly the position the serial
-//     engine would have run it.
+// decision falls on the same timestamp form one batch. A batch pops one
+// invocation per member shard, then commits each decision
+// (Policy::select_node + reservation) in shard-registration order — exactly
+// the position the serial engine would have run it.
 //
 // The merge rule makes RunMetrics bit-identical to the pre-refactor engine
 // (asserted by the golden-replay test).
 #pragma once
 
 #include <deque>
-#include <optional>
 #include <vector>
 
 #include "sim/engine_host.h"
@@ -30,13 +21,6 @@ namespace libra::sim {
 class ShardedController {
  public:
   explicit ShardedController(EngineHost& host);
-
-  /// Profiler stage complete: joins (or opens) the prediction barrier at the
-  /// current instant (§5l). The barrier speculates pure predictions against
-  /// the frozen pre-barrier model, commits them in registration order, and
-  /// schedules each invocation's admission after profiler_delay — the serial
-  /// path's per-event predict/schedule sequence, batched.
-  void enqueue_prediction(InvocationId id);
 
   /// Profiled invocation enters the scheduling layer: assigns its shard
   /// (id-based stateless dispatch, §6.4), rejects invocations that can never
@@ -60,19 +44,14 @@ class ShardedController {
   /// barrier event.
   void pump(ShardId shard);
 
-  /// The barrier event: pops up to EngineConfig::sched_batch_depth
-  /// invocations per registered shard, runs the speculate phase, then
-  /// commits in registration order and re-pumps the member shards.
+  /// The barrier event: pops one invocation per registered shard, commits
+  /// them in registration order and re-pumps the member shards.
   void run_barrier(SimTime at);
 
-  /// The prediction barrier event (§5l): Policy::speculate_predict memos,
-  /// then commit_predict/predict + admission scheduling.
-  void run_pred_barrier(SimTime at);
-
-  /// Applies one member's decision: the old monolithic try_place, with the
-  /// Step-4 selection either pre-computed (speculated) or run serially here.
-  void commit_one(InvocationId id, const std::optional<NodeId>& speculated,
-                  double decision_seconds);
+  /// Decides and applies one member's placement: the Step-4
+  /// Policy::select_node call, validation against ground truth, reservation
+  /// and the Step-5 allocation plan.
+  void commit_one(InvocationId id);
 
   EngineHost& host_;
 
@@ -97,11 +76,6 @@ class ShardedController {
   std::vector<std::pair<SimTime, std::vector<ShardId>>> batches_;
   /// Retired member vectors, recycled to keep the hot path allocation-free.
   std::vector<std::vector<ShardId>> batch_spare_;
-
-  /// Pending prediction barriers, same flat layout and erase-before-process
-  /// discipline as batches_.
-  std::vector<std::pair<SimTime, std::vector<InvocationId>>> pred_batches_;
-  std::vector<std::vector<InvocationId>> pred_spare_;
 
   std::deque<InvocationId> waiting_;  // parked until capacity frees
 };

@@ -1,12 +1,15 @@
 // Multi-controller control plane tests (src/sim/ctrl, DESIGN.md §5k):
 // config validation, transparent-mode equivalence, gossip staleness windows,
-// bounded divergence under dropped gossip, cross-controller steal determinism
-// and the stale-commit conflict path (reject-and-requeue never loses work).
+// bounded divergence under dropped gossip, cross-controller steal determinism,
+// the stale-commit conflict path (reject-and-requeue never loses work) and
+// the one-call-per-decision contract of the policy hooks.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/invariant_auditor.h"
 #include "core/libra_policy.h"
@@ -113,45 +116,125 @@ TEST(CtrlTransparent, PassThroughCachesAreDigestIdenticalToLegacy) {
             exp::run_metrics_digest(run_libra(sharded)));
 }
 
-// -------------------------------------------------------------- batch depth
+// ------------------------------------------------- one call per decision
 
-TEST(CtrlBatchDepth, RejectsNonPositiveDepth) {
-  EngineConfig cfg = exp::multi_node_config();
-  cfg.sched_batch_depth = 0;
-  EXPECT_THROW(Engine(cfg, make_libra()), std::invalid_argument);
-}
+// Forwards every sim::Policy virtual to a Libra policy and counts the
+// decision hooks, including the speculate_*/commit_* pairs the engine must
+// never call. Also forwards the pool-status side, so the control plane's
+// gossip caches see the same provider as with the bare policy.
+class CountingPolicy final : public sim::Policy,
+                             public core::PoolStatusProvider {
+ public:
+  struct Calls {
+    long predict = 0;
+    long select_node = 0;
+    long speculate_predict = 0;
+    long commit_predict = 0;
+    long speculate_select = 0;
+    long commit_select = 0;
+  };
 
-TEST(CtrlBatchDepth, DeeperBatchesCompleteTheSameWorkload) {
-  // Depth > 1 serves several queued invocations per shard barrier, paying
-  // the decision delay once per popped item — event timing moves, so the
-  // replay digest is allowed to differ from depth 1. The WORK must not:
-  // the same invocations run and complete either way (commit-time
-  // try_reserve parks stale-view decisions instead of dropping them).
-  const auto base = run_libra_burst(exp::multi_node_config());
-  EngineConfig deep_cfg = exp::multi_node_config();
-  deep_cfg.sched_batch_depth = 4;
-  const auto deep = run_libra_burst(deep_cfg);
-  ASSERT_EQ(deep.invocations.size(), base.invocations.size());
-  long base_done = 0, deep_done = 0;
-  for (const auto& rec : base.invocations)
-    if (rec.completed) ++base_done;
-  for (const auto& rec : deep.invocations)
-    if (rec.completed) ++deep_done;
-  EXPECT_EQ(deep_done, base_done);
-  EXPECT_GT(deep_done, 0);
-}
+  explicit CountingPolicy(std::shared_ptr<core::LibraPolicy> inner)
+      : inner_(std::move(inner)) {}
 
-TEST(CtrlBatchDepth, BatchedPathIsControllerCountInvariant) {
-  // Commits stay in shard-registration order whichever front end owns an
-  // invocation, so even the batched path — several same-shard decisions per
-  // barrier on a deep burst queue, where stealing triggers — must be
-  // bit-identical between 1 and 4 pass-through controllers.
-  EngineConfig one = exp::multi_node_config();
-  one.sched_batch_depth = 4;
-  EngineConfig four = one;
-  four.control.num_controllers = 4;
-  EXPECT_EQ(exp::run_metrics_digest(run_libra_burst(one)),
-            exp::run_metrics_digest(run_libra_burst(four)));
+  const Calls& calls() const { return calls_; }
+
+  std::string name() const override { return inner_->name(); }
+  void predict(sim::Invocation& inv) override {
+    ++calls_.predict;
+    inner_->predict(inv);
+  }
+  std::optional<sim::PredictionMemo> speculate_predict(
+      const sim::Invocation& inv) const override {
+    ++calls_.speculate_predict;
+    return inner_->speculate_predict(inv);
+  }
+  void commit_predict(sim::Invocation& inv,
+                      const sim::PredictionMemo& memo) override {
+    ++calls_.commit_predict;
+    inner_->commit_predict(inv, memo);
+  }
+  sim::NodeId select_node(sim::Invocation& inv, sim::EngineApi& api) override {
+    ++calls_.select_node;
+    return inner_->select_node(inv, api);
+  }
+  std::optional<sim::NodeId> speculate_select(
+      const sim::Invocation& inv, const sim::EngineApi& api) const override {
+    ++calls_.speculate_select;
+    return inner_->speculate_select(inv, api);
+  }
+  void commit_select(sim::Invocation& inv, sim::EngineApi& api) override {
+    ++calls_.commit_select;
+    inner_->commit_select(inv, api);
+  }
+  sim::AllocationPlan plan_allocation(sim::Invocation& inv,
+                                      sim::EngineApi& api) override {
+    return inner_->plan_allocation(inv, api);
+  }
+  bool wants_monitor(const sim::Invocation& inv) const override {
+    return inner_->wants_monitor(inv);
+  }
+  void on_monitor(sim::Invocation& inv, sim::EngineApi& api) override {
+    inner_->on_monitor(inv, api);
+  }
+  void on_complete(sim::Invocation& inv, sim::EngineApi& api) override {
+    inner_->on_complete(inv, api);
+  }
+  void on_oom(sim::Invocation& inv, sim::EngineApi& api) override {
+    inner_->on_oom(inv, api);
+  }
+  void on_evicted(sim::Invocation& inv, sim::EngineApi& api) override {
+    inner_->on_evicted(inv, api);
+  }
+  void on_health_ping(sim::NodeId node, sim::EngineApi& api) override {
+    inner_->on_health_ping(node, api);
+  }
+  void on_node_down(sim::NodeId node, sim::EngineApi& api) override {
+    inner_->on_node_down(node, api);
+  }
+  void on_node_up(sim::NodeId node, sim::EngineApi& api) override {
+    inner_->on_node_up(node, api);
+  }
+  void on_finalized(const sim::Invocation& inv) override {
+    inner_->on_finalized(inv);
+  }
+  void on_drain_notice(sim::NodeId node, sim::SimTime deadline,
+                       sim::EngineApi& api) override {
+    inner_->on_drain_notice(node, deadline, api);
+  }
+  sim::PolicyStats stats() const override { return inner_->stats(); }
+  const core::PoolStatus& pool_status(sim::NodeId node) const override {
+    return inner_->pool_status(node);
+  }
+
+ private:
+  std::shared_ptr<core::LibraPolicy> inner_;
+  mutable Calls calls_;  // the speculate_* hooks are const
+};
+
+TEST(CtrlOneCall, EachDecisionHookRunsOncePerDecision) {
+  // A burst on 4 shards with 2 controllers: every barrier has several
+  // members, so any per-barrier speculation pass would show up here.
+  auto counting = std::make_shared<CountingPolicy>(
+      core::LibraPolicy::with_coverage_scheduler(
+          core::LibraPolicyConfig{},
+          exp::make_libra_profiler(catalog(), exp::PlatformTuning{})));
+  EngineConfig cfg = exp::multi_node_config(4);
+  cfg.control.num_controllers = 2;
+  auto trace = workload::burst_trace(*catalog(), 160, 9);
+  const auto n = static_cast<long>(trace.size());
+  Engine engine(cfg, counting);
+  const RunMetrics m = engine.run(std::move(trace));
+
+  const auto& c = counting->calls();
+  EXPECT_EQ(c.predict, n) << "predict must run once per invocation";
+  EXPECT_GT(m.sched_decisions, 0);
+  EXPECT_EQ(c.select_node, m.sched_decisions)
+      << "select_node must run once per committed decision";
+  EXPECT_EQ(c.speculate_predict, 0);
+  EXPECT_EQ(c.commit_predict, 0);
+  EXPECT_EQ(c.speculate_select, 0);
+  EXPECT_EQ(c.commit_select, 0);
 }
 
 // ------------------------------------------------------------------- gossip

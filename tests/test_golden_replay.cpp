@@ -1,5 +1,6 @@
 // Golden-replay guard for the Cluster / Lifecycle / Controller decomposition:
-// proves that the barrier-batched, speculate-then-commit sharded controller
+// proves that the barrier-batched sharded controller, which commits one
+// Policy::select_node call per decision in shard-registration order,
 // produces BIT-IDENTICAL RunMetrics to the pre-refactor monolithic engine,
 // with 1 and with 4 front-end controllers, across baselines, Libra and
 // Libra+Trust platforms and the order-dependent baseline schedulers. Every
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "exp/digest.h"
 #include "exp/platforms.h"
@@ -37,6 +39,10 @@ struct GoldenCase {
   const char* name;
   uint64_t digest;  // captured from the pre-refactor engine
 };
+
+// Prints the scenario name, so ctest names stay stable across builds (the
+// default printer dumps the object's bytes, a string-literal address).
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
 
 constexpr GoldenCase kGolden[] = {
     {"default", 0xf87d77ec968fee23ull},
@@ -87,9 +93,9 @@ uint64_t run_scenario(const std::string& name, int controllers = 1) {
 
 class GoldenReplay : public ::testing::TestWithParam<GoldenCase> {};
 
-// "One worker": the serial speculate-then-commit decision path, the only
-// one the controller has.
-TEST_P(GoldenReplay, OneWorkerMatchesPreRefactorEngine) {
+// One front-end controller: the single-controller engine the digests were
+// captured from.
+TEST_P(GoldenReplay, MatchesPreRefactorEngine) {
   const auto& c = GetParam();
   EXPECT_EQ(exp::digest_hex(run_scenario(c.name)), exp::digest_hex(c.digest))
       << "scenario " << c.name << " diverged from the pre-refactor engine";
@@ -100,7 +106,7 @@ TEST_P(GoldenReplay, OneWorkerMatchesPreRefactorEngine) {
 // own piggybacked snapshot at all times, so sharding the catalog across four
 // front ends — with work stealing enabled — must still reproduce the
 // pre-refactor digests bit-for-bit.
-TEST_P(GoldenReplay, FourControllersOneWorkerMatchPreRefactorEngine) {
+TEST_P(GoldenReplay, FourControllersMatchPreRefactorEngine) {
   const auto& c = GetParam();
   EXPECT_EQ(exp::digest_hex(run_scenario(c.name, /*controllers=*/4)),
             exp::digest_hex(c.digest))
