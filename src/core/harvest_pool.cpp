@@ -24,27 +24,27 @@ bool near(const Resources& a, const Resources& b) {
 }
 }  // namespace
 
-void HarvestResourcePool::accrue_idle_locked(SimTime now) const {
+void HarvestResourcePool::accrue_idle(SimTime now) const {
   if (now > last_accrual_) {
-    const Resources idle = idle_total_locked();
+    const Resources idle = idle_total();
     idle_cpu_secs_ += idle.cpu * (now - last_accrual_);
     idle_mem_secs_ += idle.mem * (now - last_accrual_);
     last_accrual_ = now;
   } else if (now < last_accrual_) {
-    // A caller's clock lags a concurrent observer's. The interval was
-    // already integrated against the older idle volume; count the skew for
-    // the auditor rather than double-counting the window.
+    // A caller's clock lags an earlier caller's. The interval was already
+    // integrated against the older idle volume; count the skew for the
+    // auditor rather than double-counting the window.
     ++clock_regressions_;
   }
 }
 
-Resources HarvestResourcePool::idle_total_locked() const {
+Resources HarvestResourcePool::idle_total() const {
   Resources total;
   for (const auto& entry : entries_) total += entry.idle;
   return total;
 }
 
-HarvestResourcePool::Entry* HarvestResourcePool::find_entry_locked(
+HarvestResourcePool::Entry* HarvestResourcePool::find_entry(
     InvocationId source) {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), source,
@@ -52,7 +52,7 @@ HarvestResourcePool::Entry* HarvestResourcePool::find_entry_locked(
   return it != entries_.end() && it->source == source ? &*it : nullptr;
 }
 
-const HarvestResourcePool::Entry* HarvestResourcePool::find_entry_locked(
+const HarvestResourcePool::Entry* HarvestResourcePool::find_entry(
     InvocationId source) const {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), source,
@@ -60,7 +60,7 @@ const HarvestResourcePool::Entry* HarvestResourcePool::find_entry_locked(
   return it != entries_.end() && it->source == source ? &*it : nullptr;
 }
 
-HarvestResourcePool::Entry& HarvestResourcePool::entry_for_locked(
+HarvestResourcePool::Entry& HarvestResourcePool::entry_for(
     InvocationId source) {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), source,
@@ -71,10 +71,10 @@ HarvestResourcePool::Entry& HarvestResourcePool::entry_for_locked(
   return *entries_.insert(it, fresh);
 }
 
-void HarvestResourcePool::append_borrow_locked(Entry& entry,
-                                               InvocationId borrower,
-                                               const Resources& amount,
-                                               int tenant) {
+void HarvestResourcePool::append_borrow(Entry& entry,
+                                        InvocationId borrower,
+                                        const Resources& amount,
+                                        int tenant) {
   int32_t idx;
   if (!borrow_free_.empty()) {
     idx = borrow_free_.back();
@@ -110,7 +110,7 @@ void HarvestResourcePool::append_borrow_locked(Entry& entry,
   ++borrow_count_;
 }
 
-void HarvestResourcePool::unlink_order_locked(int32_t idx) {
+void HarvestResourcePool::unlink_order(int32_t idx) {
   BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
   if (r.prev_order != -1)
     borrow_slab_[static_cast<size_t>(r.prev_order)].next_order = r.next_order;
@@ -126,7 +126,7 @@ void HarvestResourcePool::unlink_order_locked(int32_t idx) {
   --borrow_count_;
 }
 
-void HarvestResourcePool::unlink_src_locked(Entry& entry, int32_t idx) {
+void HarvestResourcePool::unlink_src(Entry& entry, int32_t idx) {
   BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
   if (r.prev_src != -1)
     borrow_slab_[static_cast<size_t>(r.prev_src)].next_src = r.next_src;
@@ -138,7 +138,7 @@ void HarvestResourcePool::unlink_src_locked(Entry& entry, int32_t idx) {
     entry.grants_tail = r.prev_src;
 }
 
-void HarvestResourcePool::audit_invariants_locked(SimTime now) const {
+void HarvestResourcePool::audit_now(SimTime now) const {
   // Per-source outstanding grant totals, accumulated in the global
   // insertion-order walk (the legacy borrows_ vector's order).
   std::map<InvocationId, Resources> borrowed;
@@ -149,7 +149,7 @@ void HarvestResourcePool::audit_invariants_locked(SimTime now) const {
                       "negative borrow amount: source=" << r.source
                           << " borrower=" << r.borrower << " amount="
                           << r.amount.to_string() << " now=" << now);
-    const Entry* entry = find_entry_locked(r.source);
+    const Entry* entry = find_entry(r.source);
     LIBRA_AUDIT_CHECK(entry != nullptr,
                       "borrow references a released source: source="
                           << r.source << " borrower=" << r.borrower
@@ -219,15 +219,12 @@ void HarvestResourcePool::notify(PoolOp op, InvocationId subject,
 void HarvestResourcePool::put(InvocationId source, const Resources& volume,
                               SimTime est_completion, SimTime now) {
   if (volume.cpu < 0 || volume.mem < 0) return;
-  {
-    util::MutexLock lock(mu_);
-    accrue_idle_locked(now);
-    Entry& entry = entry_for_locked(source);
-    entry.idle += volume;
-    entry.harvested += volume;
-    entry.est_expiry = std::max(entry.est_expiry, est_completion);
-    audit_invariants_locked(now);
-  }
+  accrue_idle(now);
+  Entry& entry = entry_for(source);
+  entry.idle += volume;
+  entry.harvested += volume;
+  entry.est_expiry = std::max(entry.est_expiry, est_completion);
+  audit_now(now);
   notify(PoolOp::kPut, source, now);
 }
 
@@ -235,74 +232,71 @@ std::vector<HarvestResourcePool::Grant> HarvestResourcePool::get(
     const Resources& desired, InvocationId borrower, SimTime now,
     const GetOptions& opt) {
   std::vector<Grant> grants;
-  {
-    util::MutexLock lock(mu_);
-    accrue_idle_locked(now);
+  accrue_idle(now);
 
-    // Candidate ordering: timeliness-aware mode lends the longest-lived
-    // resources first ("prioritizes harvested resources that can potentially
-    // be utilized longer"); the blind mode walks entries in id order — which
-    // is simply the sorted vector's index order. The (expiry, index) keys
-    // are copied out so the comparator never touches guarded state.
-    std::vector<std::pair<double, size_t>> order;
-    order.reserve(entries_.size());
-    for (size_t i = 0; i < entries_.size(); ++i)
-      order.emplace_back(entries_[i].est_expiry, i);
-    if (opt.timeliness_order) {
-      std::stable_sort(order.begin(), order.end(),
-                       [](const std::pair<double, size_t>& a,
-                          const std::pair<double, size_t>& b) {
-                         return a.first > b.first;
-                       });
-    }
-
-    Resources remaining = desired.clamped_non_negative();
-    // Tenant quota clamp: never grant past the tenant's remaining room.
-    // Room is derived from the live borrow records, so every return path
-    // (reharvest, preempt_source, preempt_all) frees it automatically.
-    if (!tenant_quotas_.empty()) {
-      auto q = tenant_quotas_.find(opt.tenant);
-      if (q != tenant_quotas_.end()) {
-        const Resources room =
-            (q->second - tenant_outstanding_locked(opt.tenant))
-                .clamped_non_negative();
-        remaining = Resources::min(remaining, room);
-      }
-    }
-    for (const auto& [expiry, i] : order) {
-      (void)expiry;  // sort key only
-      if (remaining.is_zero()) break;
-      Entry& entry = entries_[i];
-      // Entries past their *estimated* expiry are still valid — the estimate
-      // only orders priorities; actual release happens at source completion.
-      // Timeliness ordering already places them last.
-      Resources take;
-      take.cpu = std::min(remaining.cpu, entry.idle.cpu);
-      const bool mem_ok = opt.mem_expiry_floor < 0.0 ||
-                          entry.est_expiry >= opt.mem_expiry_floor;
-      take.mem = mem_ok ? std::min(remaining.mem, entry.idle.mem) : 0.0;
-      if (take.is_zero()) continue;
-      entry.idle -= take;
-      remaining -= take;
-      remaining = remaining.clamped_non_negative();
-      grants.push_back({entry.source, take, entry.est_expiry});
-      append_borrow_locked(entry, borrower, take, opt.tenant);
-    }
-    // Timeliness ordering promises longest-lived-first grants (§5.1); the
-    // sort above must survive refactors, so the promise is audited here.
-    if (opt.timeliness_order) {
-      for (size_t i = 1; i < grants.size(); ++i) {
-        LIBRA_AUDIT_CHECK(
-            grants[i - 1].est_expiry >= grants[i].est_expiry - 1e-9,
-            "timeliness order violated: grant["
-                << i - 1 << "] source=" << grants[i - 1].source << " expiry="
-                << grants[i - 1].est_expiry << " precedes grant[" << i
-                << "] source=" << grants[i].source << " expiry="
-                << grants[i].est_expiry << " borrower=" << borrower);
-      }
-    }
-    audit_invariants_locked(now);
+  // Candidate ordering: timeliness-aware mode lends the longest-lived
+  // resources first ("prioritizes harvested resources that can potentially
+  // be utilized longer"); the blind mode walks entries in id order — which
+  // is simply the sorted vector's index order. The (expiry, index) keys
+  // are sorted, not the entries, which stay in id order.
+  std::vector<std::pair<double, size_t>> order;
+  order.reserve(entries_.size());
+  for (size_t i = 0; i < entries_.size(); ++i)
+    order.emplace_back(entries_[i].est_expiry, i);
+  if (opt.timeliness_order) {
+    std::stable_sort(order.begin(), order.end(),
+                     [](const std::pair<double, size_t>& a,
+                        const std::pair<double, size_t>& b) {
+                       return a.first > b.first;
+                     });
   }
+
+  Resources remaining = desired.clamped_non_negative();
+  // Tenant quota clamp: never grant past the tenant's remaining room.
+  // Room is derived from the live borrow records, so every return path
+  // (reharvest, preempt_source, preempt_all) frees it automatically.
+  if (!tenant_quotas_.empty()) {
+    auto q = tenant_quotas_.find(opt.tenant);
+    if (q != tenant_quotas_.end()) {
+      const Resources room =
+          (q->second - tenant_outstanding(opt.tenant))
+              .clamped_non_negative();
+      remaining = Resources::min(remaining, room);
+    }
+  }
+  for (const auto& [expiry, i] : order) {
+    (void)expiry;  // sort key only
+    if (remaining.is_zero()) break;
+    Entry& entry = entries_[i];
+    // Entries past their *estimated* expiry are still valid — the estimate
+    // only orders priorities; actual release happens at source completion.
+    // Timeliness ordering already places them last.
+    Resources take;
+    take.cpu = std::min(remaining.cpu, entry.idle.cpu);
+    const bool mem_ok = opt.mem_expiry_floor < 0.0 ||
+                        entry.est_expiry >= opt.mem_expiry_floor;
+    take.mem = mem_ok ? std::min(remaining.mem, entry.idle.mem) : 0.0;
+    if (take.is_zero()) continue;
+    entry.idle -= take;
+    remaining -= take;
+    remaining = remaining.clamped_non_negative();
+    grants.push_back({entry.source, take, entry.est_expiry});
+    append_borrow(entry, borrower, take, opt.tenant);
+  }
+  // Timeliness ordering promises longest-lived-first grants (§5.1); the
+  // sort above must survive refactors, so the promise is audited here.
+  if (opt.timeliness_order) {
+    for (size_t i = 1; i < grants.size(); ++i) {
+      LIBRA_AUDIT_CHECK(
+          grants[i - 1].est_expiry >= grants[i].est_expiry - 1e-9,
+          "timeliness order violated: grant["
+              << i - 1 << "] source=" << grants[i - 1].source << " expiry="
+              << grants[i - 1].est_expiry << " precedes grant[" << i
+              << "] source=" << grants[i].source << " expiry="
+              << grants[i].est_expiry << " borrower=" << borrower);
+    }
+  }
+  audit_now(now);
   if (!grants.empty()) notify(PoolOp::kGet, borrower, now);
   return grants;
 }
@@ -310,96 +304,85 @@ std::vector<HarvestResourcePool::Grant> HarvestResourcePool::get(
 std::vector<HarvestResourcePool::Revocation>
 HarvestResourcePool::preempt_source(InvocationId source, SimTime now) {
   std::vector<Revocation> out;
-  {
-    util::MutexLock lock(mu_);
-    accrue_idle_locked(now);
-    Entry* entry = find_entry_locked(source);
-    if (entry != nullptr) {
-      // Aggregate outstanding grants per borrower via the source's grant
-      // chain (chain order == the records' insertion order, so the FP sums
-      // match the legacy full-vector filter walk), then drop the records.
-      std::map<InvocationId, Resources> per_borrower;
-      int32_t idx = entry->grants_head;
-      while (idx != -1) {
-        const BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
-        const int32_t next = r.next_src;
-        per_borrower[r.borrower] += r.amount;
-        unlink_order_locked(idx);  // chain dies with the entry below
-        idx = next;
-      }
-      entries_.erase(entries_.begin() + (entry - entries_.data()));
-      out.reserve(per_borrower.size());
-      for (const auto& [borrower, amount] : per_borrower)
-        out.push_back({borrower, amount});
+  accrue_idle(now);
+  Entry* entry = find_entry(source);
+  if (entry != nullptr) {
+    // Aggregate outstanding grants per borrower via the source's grant
+    // chain (chain order == the records' insertion order, so the FP sums
+    // match the legacy full-vector filter walk), then drop the records.
+    std::map<InvocationId, Resources> per_borrower;
+    int32_t idx = entry->grants_head;
+    while (idx != -1) {
+      const BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
+      const int32_t next = r.next_src;
+      per_borrower[r.borrower] += r.amount;
+      unlink_order(idx);  // chain dies with the entry below
+      idx = next;
     }
-    audit_invariants_locked(now);
+    entries_.erase(entries_.begin() + (entry - entries_.data()));
+    out.reserve(per_borrower.size());
+    for (const auto& [borrower, amount] : per_borrower)
+      out.push_back({borrower, amount});
   }
+  audit_now(now);
   notify(PoolOp::kPreemptSource, source, now);
   return out;
 }
 
 void HarvestResourcePool::reharvest(InvocationId borrower, SimTime now) {
-  {
-    util::MutexLock lock(mu_);
-    accrue_idle_locked(now);
-    // Global order-list walk — same insertion-order sequence as the legacy
-    // remove_if over the borrows vector.
-    int32_t idx = borrow_head_;
-    while (idx != -1) {
-      BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
-      const int32_t next = r.next_order;
-      if (r.borrower == borrower) {
-        if (Entry* entry = find_entry_locked(r.source)) {
-          // Source is still running: the volume re-enters the pool at its
-          // original priority.
-          entry->idle += r.amount;
-          unlink_src_locked(*entry, idx);
-        }
-        unlink_order_locked(idx);
+  accrue_idle(now);
+  // Global order-list walk — same insertion-order sequence as the legacy
+  // remove_if over the borrows vector.
+  int32_t idx = borrow_head_;
+  while (idx != -1) {
+    BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
+    const int32_t next = r.next_order;
+    if (r.borrower == borrower) {
+      if (Entry* entry = find_entry(r.source)) {
+        // Source is still running: the volume re-enters the pool at its
+        // original priority.
+        entry->idle += r.amount;
+        unlink_src(*entry, idx);
       }
-      idx = next;
+      unlink_order(idx);
     }
-    audit_invariants_locked(now);
+    idx = next;
   }
+  audit_now(now);
   notify(PoolOp::kReharvest, borrower, now);
 }
 
 std::vector<HarvestResourcePool::Revocation> HarvestResourcePool::preempt_all(
     SimTime now) {
   std::vector<Revocation> out;
-  {
-    util::MutexLock lock(mu_);
-    accrue_idle_locked(now);
-    entries_.clear();
-    std::map<InvocationId, Resources> per_borrower;
-    for (int32_t idx = borrow_head_; idx != -1;
-         idx = borrow_slab_[static_cast<size_t>(idx)].next_order) {
-      const BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
-      per_borrower[r.borrower] += r.amount;
-    }
-    borrow_slab_.clear();
-    borrow_free_.clear();
-    borrow_head_ = borrow_tail_ = -1;
-    borrow_count_ = 0;
-    out.reserve(per_borrower.size());
-    for (const auto& [borrower, amount] : per_borrower)
-      out.push_back({borrower, amount});
-    audit_invariants_locked(now);
+  accrue_idle(now);
+  entries_.clear();
+  std::map<InvocationId, Resources> per_borrower;
+  for (int32_t idx = borrow_head_; idx != -1;
+       idx = borrow_slab_[static_cast<size_t>(idx)].next_order) {
+    const BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
+    per_borrower[r.borrower] += r.amount;
   }
+  borrow_slab_.clear();
+  borrow_free_.clear();
+  borrow_head_ = borrow_tail_ = -1;
+  borrow_count_ = 0;
+  out.reserve(per_borrower.size());
+  for (const auto& [borrower, amount] : per_borrower)
+    out.push_back({borrower, amount});
+  audit_now(now);
   notify(PoolOp::kPreemptAll, 0, now);
   return out;
 }
 
 size_t HarvestResourcePool::outstanding_borrows() const {
-  util::MutexLock lock(mu_);
   return borrow_count_;
 }
 
 PoolStatus HarvestResourcePool::snapshot(SimTime now) const {
-  util::MutexLock lock(mu_);
   // Advance the accrual clock: a status consumer pairing this snapshot with
   // the idle-time integrals sees both as of the same instant.
-  accrue_idle_locked(now);
+  accrue_idle(now);
   PoolStatus status;
   status.taken_at = now;
   for (const auto& entry : entries_) {
@@ -409,37 +392,17 @@ PoolStatus HarvestResourcePool::snapshot(SimTime now) const {
   return status;
 }
 
-Resources HarvestResourcePool::idle_total() const {
-  util::MutexLock lock(mu_);
-  return idle_total_locked();
-}
-
 size_t HarvestResourcePool::entry_count() const {
-  util::MutexLock lock(mu_);
   return entries_.size();
 }
 
 HarvestResourcePool::IdleIntegrals HarvestResourcePool::idle_integrals(
     SimTime now) const {
-  util::MutexLock lock(mu_);
-  accrue_idle_locked(now);
+  accrue_idle(now);
   return {idle_cpu_secs_, idle_mem_secs_};
 }
 
-double HarvestResourcePool::idle_cpu_core_seconds(SimTime now) const {
-  util::MutexLock lock(mu_);
-  accrue_idle_locked(now);
-  return idle_cpu_secs_;
-}
-
-double HarvestResourcePool::idle_mem_mb_seconds(SimTime now) const {
-  util::MutexLock lock(mu_);
-  accrue_idle_locked(now);
-  return idle_mem_secs_;
-}
-
 HarvestResourcePool::DebugState HarvestResourcePool::debug_state() const {
-  util::MutexLock lock(mu_);
   DebugState state;
   state.entries.reserve(entries_.size());
   for (const auto& entry : entries_)
@@ -462,12 +425,7 @@ HarvestResourcePool::DebugState HarvestResourcePool::debug_state() const {
   return state;
 }
 
-void HarvestResourcePool::audit_now(SimTime now) const {
-  util::MutexLock lock(mu_);
-  audit_invariants_locked(now);
-}
-
-Resources HarvestResourcePool::tenant_outstanding_locked(int tenant) const {
+Resources HarvestResourcePool::tenant_outstanding(int tenant) const {
   Resources outstanding;
   for (int32_t idx = borrow_head_; idx != -1;
        idx = borrow_slab_[static_cast<size_t>(idx)].next_order) {
@@ -478,32 +436,24 @@ Resources HarvestResourcePool::tenant_outstanding_locked(int tenant) const {
 }
 
 void HarvestResourcePool::set_tenant_quota(int tenant, const Resources& cap) {
-  util::MutexLock lock(mu_);
   tenant_quotas_[tenant] = cap;
-}
-
-Resources HarvestResourcePool::tenant_outstanding(int tenant) const {
-  util::MutexLock lock(mu_);
-  return tenant_outstanding_locked(tenant);
 }
 
 void HarvestResourcePool::corrupt_for_audit_test(InvocationId source,
                                                  const Resources& delta) {
-  util::MutexLock lock(mu_);
-  entry_for_locked(source).idle +=
+  entry_for(source).idle +=
       delta;  // deliberately skips the harvested ledger
 }
 
 void HarvestResourcePool::corrupt_tenant_for_audit_test(
     InvocationId source, InvocationId borrower, int tenant,
     const Resources& delta) {
-  util::MutexLock lock(mu_);
   // Harvested ledger bumped in lockstep with the fabricated borrow record:
   // conservation still holds, so the per-tenant quota audit is the check
   // that fires on the next sweep.
-  Entry& entry = entry_for_locked(source);
+  Entry& entry = entry_for(source);
   entry.harvested += delta;
-  append_borrow_locked(entry, borrower, delta, tenant);
+  append_borrow(entry, borrower, delta, tenant);
 }
 
 }  // namespace libra::core

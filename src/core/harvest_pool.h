@@ -12,17 +12,16 @@
 //     and outstanding grants are revoked from their borrowers),
 //   * re-harvesting (a finished borrower returns still-valid grants to the
 //     pool at their original priority),
-//   * concurrency (mutex-protected; the sharded schedulers and monitor
-//     daemons of the real system touch pools from many threads).
+//   * concurrency: one serial event loop owns every pool, and its event
+//     order takes the place of the paper's pool lock.
 //
 // The pool also keeps the idle-resource-time integrals (resource volume x
 // time spent idle in the pool) that Fig. 10(b)/(c) report.
 //
-// Correctness machinery: every field is LIBRA_GUARDED_BY(mu_) so clang's
-// -Wthread-safety proves the lock discipline; every mutating operation ends
-// with an internal conservation audit (idle + outstanding grants == volume
-// harvested per source, LIBRA_AUDIT_CHECK-enforced in all build types) and
-// fires a PoolEvent so the cross-layer invariant auditor (src/analysis) can
+// Correctness machinery: every mutating operation ends with an internal
+// conservation audit (idle + outstanding grants == volume harvested per
+// source, LIBRA_AUDIT_CHECK-enforced in all build types) and fires a
+// PoolEvent so the cross-layer invariant auditor (src/analysis) can
 // run its own checks against debug_state().
 #pragma once
 
@@ -33,8 +32,6 @@
 #include "core/pool_event.h"
 #include "core/pool_status.h"
 #include "sim/types.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace libra::core {
 
@@ -64,10 +61,7 @@ class HarvestResourcePool {
     int tenant = 0;
   };
 
-  /// Both Fig. 10 idle-time integrals read under ONE lock acquisition. The
-  /// per-axis getters below each lock separately, so a concurrent put/get
-  /// between the two reads can tear the pair; consumers that need a
-  /// consistent (cpu, mem) observation must use this.
+  /// Both Fig. 10 idle-time integrals, accrued up to the same instant.
   struct IdleIntegrals {
     double cpu_core_seconds = 0.0;
     double mem_mb_seconds = 0.0;
@@ -77,16 +71,15 @@ class HarvestResourcePool {
   /// estimated completion timestamp as the priority. Merging an existing
   /// source accumulates volume and keeps the later expiry.
   void put(sim::InvocationId source, const sim::Resources& volume,
-           sim::SimTime est_completion, sim::SimTime now) LIBRA_EXCLUDES(mu_);
+           sim::SimTime est_completion, sim::SimTime now);
 
   /// Best-effort acquisition of up to `desired` for `borrower`. Returns the
   /// per-source grants actually taken (possibly empty).
   std::vector<Grant> get(const sim::Resources& desired,
                          sim::InvocationId borrower, sim::SimTime now,
-                         const GetOptions& opt) LIBRA_EXCLUDES(mu_);
+                         const GetOptions& opt);
   std::vector<Grant> get(const sim::Resources& desired,
-                         sim::InvocationId borrower, sim::SimTime now)
-      LIBRA_EXCLUDES(mu_) {
+                         sim::InvocationId borrower, sim::SimTime now) {
     return get(desired, borrower, now, GetOptions());
   }
 
@@ -94,42 +87,39 @@ class HarvestResourcePool {
   /// was safeguarded. Drops its idle entry and returns the outstanding
   /// grants that must be revoked from borrowers.
   std::vector<Revocation> preempt_source(sim::InvocationId source,
-                                         sim::SimTime now) LIBRA_EXCLUDES(mu_);
+                                         sim::SimTime now);
 
   /// Re-harvesting (§5.1): the borrower finished; still-valid grants return
   /// to their source entries at the original priority. Grants whose source
   /// already finished are gone (nothing to return).
-  void reharvest(sim::InvocationId borrower, sim::SimTime now)
-      LIBRA_EXCLUDES(mu_);
+  void reharvest(sim::InvocationId borrower, sim::SimTime now);
 
   /// Node-crash teardown: drops every idle entry and returns ALL outstanding
   /// grants aggregated per borrower, so the policy can revoke them before the
   /// engine reaps the node. Leaves the pool empty (idle-time integrals are
   /// preserved — the node accrued that history before dying).
-  std::vector<Revocation> preempt_all(sim::SimTime now) LIBRA_EXCLUDES(mu_);
+  std::vector<Revocation> preempt_all(sim::SimTime now);
 
   /// Number of outstanding borrow records (grants not yet returned/revoked).
-  size_t outstanding_borrows() const LIBRA_EXCLUDES(mu_);
+  size_t outstanding_borrows() const;
 
   /// Snapshot for health-ping piggybacking. Advances the idle-time accrual
   /// clock so the snapshot's taken_at and the integrals stay consistent.
-  PoolStatus snapshot(sim::SimTime now) const LIBRA_EXCLUDES(mu_);
+  PoolStatus snapshot(sim::SimTime now) const;
 
   /// Total currently idle (un-borrowed) volume.
-  sim::Resources idle_total() const LIBRA_EXCLUDES(mu_);
+  sim::Resources idle_total() const;
 
   /// Number of tracked source entries.
-  size_t entry_count() const LIBRA_EXCLUDES(mu_);
+  size_t entry_count() const;
 
   // ---- Fig. 10 idle-time accounting ----
-  IdleIntegrals idle_integrals(sim::SimTime now) const LIBRA_EXCLUDES(mu_);
-  double idle_cpu_core_seconds(sim::SimTime now) const LIBRA_EXCLUDES(mu_);
-  double idle_mem_mb_seconds(sim::SimTime now) const LIBRA_EXCLUDES(mu_);
+  IdleIntegrals idle_integrals(sim::SimTime now) const;
 
   // ---- Correctness / audit machinery ----
 
-  /// Introspection for the invariant auditor and tests: a consistent copy of
-  /// the pool's entire state taken under one lock acquisition.
+  /// Introspection for the invariant auditor and tests: a copy of the pool's
+  /// entire state.
   struct DebugEntry {
     sim::InvocationId source = 0;
     sim::Resources idle;
@@ -149,24 +139,24 @@ class HarvestResourcePool {
     std::vector<DebugEntry> entries;
     std::vector<DebugBorrow> borrows;
     /// Registered per-tenant caps (empty when quotas are unused).
-    // LIBRA_LINT_ALLOW(flat-hot-path): debug/audit snapshot copied under the lock, never on the decision path
+    // LIBRA_LINT_ALLOW(flat-hot-path): debug/audit snapshot copy, never on the decision path
     std::map<int, sim::Resources> tenant_quotas;
     double idle_cpu_secs = 0.0;
     double idle_mem_secs = 0.0;
     sim::SimTime last_accrual = 0.0;
-    /// Operations observed with `now` behind the accrual clock (clock skew
-    /// between concurrent callers; counted, never fatal).
+    /// Operations observed with `now` behind the accrual clock (a caller
+    /// with a stale clock; counted, never fatal).
     long clock_regressions = 0;
   };
-  DebugState debug_state() const LIBRA_EXCLUDES(mu_);
+  DebugState debug_state() const;
 
-  /// Re-runs the internal conservation audit on the current state (the same
-  /// checks every mutating operation performs). Aborts via LIBRA_AUDIT_CHECK
-  /// on violation.
-  void audit_now(sim::SimTime now) const LIBRA_EXCLUDES(mu_);
+  /// The internal conservation + ordering audit every mutating operation
+  /// ends with; callable on demand. Aborts via LIBRA_AUDIT_CHECK on
+  /// violation.
+  void audit_now(sim::SimTime now) const;
 
-  /// Registers the observer notified (outside the lock) after every mutating
-  /// operation. Install before concurrent use; pass nullptr to detach.
+  /// Registers the observer notified after every mutating operation; pass
+  /// nullptr to detach.
   void set_event_listener(PoolEventListener* listener) {
     listener_ = listener;
   }
@@ -181,17 +171,16 @@ class HarvestResourcePool {
   /// mutation; tenants without a registered quota are unrestricted. Quota
   /// room is derived from the live borrow records, so reharvest /
   /// preempt_source / preempt_all free it automatically.
-  void set_tenant_quota(int tenant, const sim::Resources& cap)
-      LIBRA_EXCLUDES(mu_);
+  void set_tenant_quota(int tenant, const sim::Resources& cap);
 
   /// Volume currently borrowed by `tenant` (sum over its borrow records).
-  sim::Resources tenant_outstanding(int tenant) const LIBRA_EXCLUDES(mu_);
+  sim::Resources tenant_outstanding(int tenant) const;
 
   /// TEST-ONLY fault injection: adds `delta` idle volume to `source` without
   /// recording it as harvested, deliberately breaking conservation so the
   /// negative tests can prove the auditor fires. Never call outside tests.
   void corrupt_for_audit_test(sim::InvocationId source,
-                              const sim::Resources& delta) LIBRA_EXCLUDES(mu_);
+                              const sim::Resources& delta);
 
   /// TEST-ONLY fault injection: fabricates an over-quota borrow record for
   /// `tenant` (bumping the source's harvested ledger in lockstep, so
@@ -199,8 +188,7 @@ class HarvestResourcePool {
   /// that fires). Never call outside tests.
   void corrupt_tenant_for_audit_test(sim::InvocationId source,
                                      sim::InvocationId borrower, int tenant,
-                                     const sim::Resources& delta)
-      LIBRA_EXCLUDES(mu_);
+                                     const sim::Resources& delta);
 
  private:
   // Flat hot-path layout (§5l). Source entries live in ONE vector kept
@@ -237,58 +225,44 @@ class HarvestResourcePool {
     int32_t next_src = -1;
   };
 
-  void accrue_idle_locked(sim::SimTime now) const LIBRA_REQUIRES(mu_);
-  sim::Resources idle_total_locked() const LIBRA_REQUIRES(mu_);
-  /// Conservation + ordering audit; runs after every mutation.
-  void audit_invariants_locked(sim::SimTime now) const LIBRA_REQUIRES(mu_);
-  void notify(PoolOp op, sim::InvocationId subject, sim::SimTime now) const
-      LIBRA_EXCLUDES(mu_);
-
-  /// Borrowed volume currently outstanding for `tenant` (order-list walk).
-  sim::Resources tenant_outstanding_locked(int tenant) const
-      LIBRA_REQUIRES(mu_);
+  void accrue_idle(sim::SimTime now) const;
+  void notify(PoolOp op, sim::InvocationId subject, sim::SimTime now) const;
 
   /// Binary search in the sorted entry vector; nullptr when absent.
-  Entry* find_entry_locked(sim::InvocationId source) LIBRA_REQUIRES(mu_);
-  const Entry* find_entry_locked(sim::InvocationId source) const
-      LIBRA_REQUIRES(mu_);
+  Entry* find_entry(sim::InvocationId source);
+  const Entry* find_entry(sim::InvocationId source) const;
   /// Find-or-insert at the sorted position (the legacy map's operator[]).
-  Entry& entry_for_locked(sim::InvocationId source) LIBRA_REQUIRES(mu_);
+  Entry& entry_for(sim::InvocationId source);
   /// Appends a live borrow record (slab slot reuse), linking it onto the
   /// global insertion-order list and `entry`'s grant chain.
-  void append_borrow_locked(Entry& entry, sim::InvocationId borrower,
-                            const sim::Resources& amount, int tenant)
-      LIBRA_REQUIRES(mu_);
+  void append_borrow(Entry& entry, sim::InvocationId borrower,
+                     const sim::Resources& amount, int tenant);
   /// Unlinks a record from the global order list and recycles its slot. The
   /// caller handles the per-source chain (consumed wholesale or via
-  /// unlink_src_locked).
-  void unlink_order_locked(int32_t idx) LIBRA_REQUIRES(mu_);
+  /// unlink_src).
+  void unlink_order(int32_t idx);
   /// Removes a record from its source entry's grant chain.
-  void unlink_src_locked(Entry& entry, int32_t idx) LIBRA_REQUIRES(mu_);
+  void unlink_src(Entry& entry, int32_t idx);
 
-  mutable util::Mutex mu_;
   /// Source entries, sorted by source id (== legacy map iteration order).
-  std::vector<Entry> entries_ LIBRA_GUARDED_BY(mu_);
+  std::vector<Entry> entries_;
   /// Borrow-record slab + LIFO free list + global order-list endpoints.
-  std::vector<BorrowRecord> borrow_slab_ LIBRA_GUARDED_BY(mu_);
-  std::vector<int32_t> borrow_free_ LIBRA_GUARDED_BY(mu_);
-  int32_t borrow_head_ LIBRA_GUARDED_BY(mu_) = -1;
-  int32_t borrow_tail_ LIBRA_GUARDED_BY(mu_) = -1;
-  size_t borrow_count_ LIBRA_GUARDED_BY(mu_) = 0;
+  std::vector<BorrowRecord> borrow_slab_;
+  std::vector<int32_t> borrow_free_;
+  int32_t borrow_head_ = -1;
+  int32_t borrow_tail_ = -1;
+  size_t borrow_count_ = 0;
   /// Per-tenant caps on concurrently borrowed volume (empty = no quotas).
   /// Cold path: written at setup, read per get(); a map member is fine here.
   // LIBRA_LINT_ALLOW(flat-hot-path): setup-time quota table, not touched per decision
-  std::map<int, sim::Resources> tenant_quotas_ LIBRA_GUARDED_BY(mu_);
-  mutable double idle_cpu_secs_ LIBRA_GUARDED_BY(mu_) = 0.0;
-  mutable double idle_mem_secs_ LIBRA_GUARDED_BY(mu_) = 0.0;
-  mutable sim::SimTime last_accrual_ LIBRA_GUARDED_BY(mu_) = 0.0;
-  mutable long clock_regressions_ LIBRA_GUARDED_BY(mu_) = 0;
-  /// Written once during setup, read outside the lock (the callback must be
-  /// able to re-enter the pool's const API).
-  // LIBRA_LINT_ALLOW(guarded-by-coverage): written once before concurrent use; notify() reads it outside the lock by design
+  std::map<int, sim::Resources> tenant_quotas_;
+  mutable double idle_cpu_secs_ = 0.0;
+  mutable double idle_mem_secs_ = 0.0;
+  mutable sim::SimTime last_accrual_ = 0.0;
+  mutable long clock_regressions_ = 0;
+  /// Written once during setup; the callback may re-enter the const API.
   PoolEventListener* listener_ = nullptr;
   /// Owner node for PoolEvent stamping; written once during setup.
-  // LIBRA_LINT_ALLOW(guarded-by-coverage): written once before concurrent use, then read-only
   sim::NodeId node_hint_ = sim::kNoNode;
 };
 

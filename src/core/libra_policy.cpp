@@ -596,9 +596,7 @@ sim::PolicyStats LibraPolicy::stats() const {
   // hash-order hazard, no sort).
   for (const auto& pool : pools_) {
     if (!pool) continue;
-    // Single combined read: the (cpu, mem) idle integrals are a pair kept
-    // consistent under one lock; reading them through two separate accessors
-    // could interleave with a concurrent put()/get() and tear the pair.
+    // One read accrues both idle integrals up to the same instant.
     const auto ii = pool->idle_integrals(last_seen_now_);
     out.pool_idle_cpu_core_seconds += ii.cpu_core_seconds;
     out.pool_idle_mem_mb_seconds += ii.mem_mb_seconds;

@@ -183,10 +183,11 @@ class LibraPolicy final : public sim::Policy, public PoolStatusProvider {
   SchedulerPtr scheduler_;
   PoolEventListener* pool_listener_ = nullptr;
   PolicyEventListener* policy_listener_ = nullptr;
-  /// Per-node harvest pools, indexed by node id (§5l flat layout; pools are
-  /// non-movable — util::Mutex member — hence the unique_ptr slots). Index
-  /// order IS ascending node order, so every iteration below is
-  /// deterministic without a sort.
+  /// Per-node harvest pools, indexed by node id (§5l flat layout). Pools are
+  /// created lazily and PoolEvent::pool / pools_for_audit() hand out their
+  /// addresses, hence the unique_ptr slots: a pool never moves. Index order
+  /// IS ascending node order, so every iteration below is deterministic
+  /// without a sort.
   std::vector<std::unique_ptr<HarvestResourcePool>> pools_;
   /// Piggybacked pool-status snapshots, indexed by node id. A never-pinged
   /// node's default-constructed entry equals the empty status.

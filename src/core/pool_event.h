@@ -1,7 +1,7 @@
 // Observer seam between the harvest pool and the invariant auditor
 // (src/analysis). The pool fires one event after every mutating operation,
-// outside its own lock, so a listener may freely call back into the pool's
-// const/introspection API. Production builds run with no listener attached —
+// once its state is consistent, so a listener may freely call back into the
+// pool's const/introspection API. Production builds run with no listener attached —
 // the notification is a single pointer test.
 #pragma once
 

@@ -20,7 +20,6 @@ bool shard_feasible(const sim::Node& node, const Invocation& inv,
 }
 
 NodeId StickyHashState::pick(Invocation& inv, EngineApi& api) {
-  util::MutexLock lock(mu_);
   const auto& nodes = api.nodes();
   const auto n = static_cast<uint64_t>(nodes.size());
   int& salt = salt_[inv.func];

@@ -10,8 +10,6 @@
 
 #include "core/pool_status.h"
 #include "sim/policy.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace libra::core {
 
@@ -37,20 +35,14 @@ bool shard_feasible(const sim::Node& node, const sim::Invocation& inv,
 /// OpenWhisk-style sticky hashing: invocations of a function go to the same
 /// node (container reuse); when the target lacks capacity the hash advances
 /// and upcoming invocations of the function follow (§6.3). The salt map is
-/// shared scheduler-shard state — every decentralized shard advances the
-/// same per-function target — so it is mutex-protected and annotated.
+/// shared scheduler-shard state: every decentralized shard advances the
+/// same per-function target.
 class StickyHashState {
  public:
-  StickyHashState() = default;
-  StickyHashState(const StickyHashState&) = delete;
-  StickyHashState& operator=(const StickyHashState&) = delete;
-
-  sim::NodeId pick(sim::Invocation& inv, sim::EngineApi& api)
-      LIBRA_EXCLUDES(mu_);
+  sim::NodeId pick(sim::Invocation& inv, sim::EngineApi& api);
 
  private:
-  util::Mutex mu_;
-  std::unordered_map<sim::FunctionId, int> salt_ LIBRA_GUARDED_BY(mu_);
+  std::unordered_map<sim::FunctionId, int> salt_;
 };
 
 /// Libra's timeliness-aware greedy scheduler (§6.3):

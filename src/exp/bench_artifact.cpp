@@ -1,6 +1,7 @@
 #include "exp/bench_artifact.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -24,44 +25,51 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// Offset just past the colon of `"key":` in an object body, or npos. The
+/// key must be followed by a colon, so a string value that happens to equal
+/// a key name ("direction", "unit", ...) is never taken for the key.
+size_t value_offset(const std::string& obj, const std::string& key) {
+  const std::string needle = "\"" + key + "\"";
+  for (size_t at = obj.find(needle); at != std::string::npos;
+       at = obj.find(needle, at + 1)) {
+    size_t colon = at + needle.size();
+    while (colon < obj.size() &&
+           std::isspace(static_cast<unsigned char>(obj[colon])))
+      ++colon;
+    if (colon < obj.size() && obj[colon] == ':') return colon + 1;
+  }
+  return std::string::npos;
+}
+
 /// Minimal scanner over the artifact's own output format (same subset
 /// discipline as the lint tool's compile_commands reader): extracts one
 /// string field from an object body.
 bool take_string(const std::string& obj, const std::string& key,
                  std::string* out) {
-  const std::string needle = "\"" + key + "\"";
-  size_t at = obj.find(needle);
-  if (at == std::string::npos) return false;
-  at = obj.find(':', at + needle.size());
+  const size_t at = value_offset(obj, key);
   if (at == std::string::npos) return false;
   const size_t open = obj.find('"', at);
   if (open == std::string::npos) return false;
-  size_t close = open + 1;
-  while (close < obj.size() &&
-         !(obj[close] == '"' && obj[close - 1] != '\\'))
-    ++close;
-  if (close >= obj.size()) return false;
-  std::string raw = obj.substr(open + 1, close - open - 1);
+  // Unescape up to the first unescaped quote; an escaped backslash right
+  // before the closing quote does not escape the quote.
   std::string unescaped;
-  for (size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i] == '\\' && i + 1 < raw.size()) {
+  size_t i = open + 1;
+  for (; i < obj.size() && obj[i] != '"'; ++i) {
+    if (obj[i] == '\\' && i + 1 < obj.size()) {
       ++i;
-      unescaped += raw[i] == 'n' ? '\n' : raw[i] == 't' ? '\t' : raw[i];
+      unescaped += obj[i] == 'n' ? '\n' : obj[i] == 't' ? '\t' : obj[i];
     } else {
-      unescaped += raw[i];
+      unescaped += obj[i];
     }
   }
+  if (i >= obj.size()) return false;
   *out = unescaped;
   return true;
 }
 
 bool take_number(const std::string& obj, const std::string& key, double* out) {
-  const std::string needle = "\"" + key + "\"";
-  size_t at = obj.find(needle);
+  size_t at = value_offset(obj, key);
   if (at == std::string::npos) return false;
-  at = obj.find(':', at + needle.size());
-  if (at == std::string::npos) return false;
-  ++at;
   while (at < obj.size() && std::isspace(static_cast<unsigned char>(obj[at])))
     ++at;
   char* end = nullptr;
@@ -133,10 +141,20 @@ BenchArtifact bench_artifact_from_json(const std::string& text) {
         !take_number(obj, "value", &value))
       throw std::runtime_error(
           "bench artifact: row missing \"name\" or \"value\"");
+    // A NaN or infinite value compares as "ok" against any baseline, and an
+    // unknown direction would silently be read as "lower": both make the
+    // gate pass rows it cannot judge, so both are malformed input.
+    if (!std::isfinite(value))
+      throw std::runtime_error("bench artifact: row \"" + row.name +
+                               "\" has a non-finite value");
     row.value = value;
     take_string(obj, "unit", &row.unit);
     if (!take_string(obj, "direction", &row.direction))
       row.direction = "lower";
+    if (row.direction != "lower" && row.direction != "higher")
+      throw std::runtime_error("bench artifact: row \"" + row.name +
+                               "\" has direction \"" + row.direction +
+                               "\"; expected \"lower\" or \"higher\"");
     artifact.add(row.name, row.value, row.unit, row.direction);
     pos = close + 1;
   }

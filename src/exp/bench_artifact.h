@@ -42,7 +42,8 @@ struct BenchArtifact {
 std::string bench_artifact_to_json(const BenchArtifact& artifact);
 
 /// Parses an artifact; throws std::runtime_error on malformed input (a
-/// corrupt baseline must fail the CI step loudly, not compare as empty).
+/// corrupt baseline must fail the CI step loudly, not compare as empty),
+/// including a non-finite value or a direction other than "lower"/"higher".
 BenchArtifact bench_artifact_from_json(const std::string& text);
 
 /// Loads an artifact file; throws std::runtime_error when unreadable.

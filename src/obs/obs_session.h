@@ -15,8 +15,7 @@
 // by tests/test_obs.cpp). Each seam forwards to an optional chained inner
 // listener (the invariant auditor), so auditing and observability stack.
 //
-// Not thread-safe: attach it to the single-threaded discrete-event engine,
-// not to pools shared across threads.
+// Not thread-safe: attach it to the single-threaded discrete-event engine.
 #pragma once
 
 #include <fstream>

@@ -1,7 +1,9 @@
 #include "sim/chaos/repro.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -38,23 +40,33 @@ double parse_double(const Line& line, size_t idx) {
   return v;
 }
 
-long long parse_int(const Line& line, size_t idx) {
+/// Parses an integer operand into the field's type `T`; a value that does
+/// not fit `T` is rejected, never truncated.
+template <typename T>
+T parse_int(const Line& line, size_t idx) {
   if (idx >= line.tokens.size()) bad_line(line, "missing operand");
   const std::string& tok = line.tokens[idx];
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(tok.c_str(), &end, 10);
   if (end == tok.c_str() || *end != '\0')
     bad_line(line, "bad integer '" + tok + "'");
-  return v;
+  if (errno == ERANGE || v < std::numeric_limits<T>::min() ||
+      v > std::numeric_limits<T>::max())
+    bad_line(line, "integer '" + tok + "' out of range");
+  return static_cast<T>(v);
 }
 
 uint64_t parse_u64(const Line& line, size_t idx) {
   if (idx >= line.tokens.size()) bad_line(line, "missing operand");
   const std::string& tok = line.tokens[idx];
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0')
+  // strtoull negates a leading '-' modulo 2^64; an unsigned field has none.
+  if (end == tok.c_str() || *end != '\0' || tok[0] == '-')
     bad_line(line, "bad unsigned '" + tok + "'");
+  if (errno == ERANGE) bad_line(line, "unsigned '" + tok + "' out of range");
   return static_cast<uint64_t>(v);
 }
 
@@ -153,10 +165,10 @@ Scenario parse_scenario(const std::string& text) {
       // Legacy: the worker count of a differential leg whose mechanism (the
       // scheduler worker pool) no longer exists. Checked, then discarded.
       expect_arity(line, 1);
-      parse_int(line, 0);
+      parse_int<int>(line, 0);
     } else if (line.keyword == "num_shards") {
       expect_arity(line, 1);
-      sc.num_shards = static_cast<int>(parse_int(line, 0));
+      sc.num_shards = parse_int<int>(line, 0);
     } else if (line.keyword == "spot_drain_notice") {
       expect_arity(line, 1);
       sc.spot_drain_notice = parse_double(line, 0);
@@ -167,16 +179,16 @@ Scenario parse_scenario(const std::string& text) {
     } else if (line.keyword == "outage") {
       expect_arity(line, 4);
       sim::fault::NodeOutage o;
-      o.node = static_cast<sim::NodeId>(parse_int(line, 0));
+      o.node = parse_int<sim::NodeId>(line, 0);
       o.down_at = parse_double(line, 1);
       o.up_at = parse_double(line, 2);
-      o.spot = parse_int(line, 3) != 0;
+      o.spot = parse_int<int>(line, 3) != 0;
       sc.plan.outages.push_back(o);
     } else if (line.keyword == "ping_blackout" || line.keyword == "cold_window" ||
                line.keyword == "monitor_blackout") {
       expect_arity(line, 3);
       sim::fault::FaultWindow w;
-      w.node = static_cast<sim::NodeId>(parse_int(line, 0));
+      w.node = parse_int<sim::NodeId>(line, 0);
       w.from = parse_double(line, 1);
       w.until = parse_double(line, 2);
       if (line.keyword == "ping_blackout")
@@ -188,23 +200,23 @@ Scenario parse_scenario(const std::string& text) {
     } else if (line.keyword == "pred_fault") {
       expect_arity(line, 5);
       sim::fault::PredictionFault p;
-      const long long kind = parse_int(line, 0);
+      const int kind = parse_int<int>(line, 0);
       if (kind < 0 || kind > static_cast<int>(sim::fault::PredFaultKind::kOutage))
         bad_line(line, "unknown prediction-fault kind");
       p.kind = static_cast<sim::fault::PredFaultKind>(kind);
-      p.func = static_cast<sim::FunctionId>(parse_int(line, 1));
+      p.func = parse_int<sim::FunctionId>(line, 1);
       p.from = parse_double(line, 2);
       p.until = parse_double(line, 3);
       p.severity = parse_double(line, 4);
       sc.plan.prediction_faults.push_back(p);
     } else if (line.keyword == "controllers") {
       expect_arity(line, 2);
-      sc.num_controllers = static_cast<int>(parse_int(line, 0));
-      sc.controllers_b = static_cast<int>(parse_int(line, 1));
+      sc.num_controllers = parse_int<int>(line, 0);
+      sc.controllers_b = parse_int<int>(line, 1);
     } else if (line.keyword == "gossip") {
       expect_arity(line, 2);
       sc.gossip_period = parse_double(line, 0);
-      sc.gossip_fanout = static_cast<int>(parse_int(line, 1));
+      sc.gossip_fanout = parse_int<int>(line, 1);
     } else if (line.keyword == "profile") {
       // 8 operands = pre-control-plane artifacts (gossip faults default to
       // off); 11 = current format with the gossip fault probabilities.
@@ -226,7 +238,7 @@ Scenario parse_scenario(const std::string& text) {
       }
     } else if (line.keyword == "gen") {
       expect_arity(line, 12);
-      sc.gen.functions = static_cast<int>(parse_int(line, 0));
+      sc.gen.functions = parse_int<int>(line, 0);
       sc.gen.rpm = parse_double(line, 1);
       sc.gen.duration = parse_double(line, 2);
       sc.gen.seed = parse_u64(line, 3);
@@ -240,18 +252,18 @@ Scenario parse_scenario(const std::string& text) {
       sc.gen.mean_work = parse_double(line, 11);
     } else if (line.keyword == "num_tenants") {
       expect_arity(line, 1);
-      sc.num_tenants = static_cast<int>(parse_int(line, 0));
+      sc.num_tenants = parse_int<int>(line, 0);
     } else if (line.keyword == "quota") {
       expect_arity(line, 3);
-      sc.tenant_quotas[static_cast<int>(parse_int(line, 0))] = {
+      sc.tenant_quotas[parse_int<int>(line, 0)] = {
           parse_double(line, 1), parse_double(line, 2)};
     } else if (line.keyword == "inject") {
       expect_arity(line, 2);
-      const long long kind = parse_int(line, 0);
+      const int kind = parse_int<int>(line, 0);
       if (kind < 0 || kind > static_cast<int>(InjectKind::kTenantQuota))
         bad_line(line, "unknown inject kind");
       sc.inject.kind = static_cast<InjectKind>(kind);
-      sc.inject.at_event = static_cast<long>(parse_int(line, 1));
+      sc.inject.at_event = parse_int<long>(line, 1);
     } else if (line.keyword == "end") {
       saw_end = true;
     } else {

@@ -1,11 +1,11 @@
 // Clang thread-safety-analysis attribute macros (no-ops on GCC and MSVC).
-// The simulator's shared structures — harvest pools, container pools, the
-// sharded-scheduler hash state, the log sink — are mutex-protected because
-// the real system touches them from many scheduler/monitor threads (§5.1,
-// §6.4). These macros let `clang -Wthread-safety` prove the lock discipline
-// at compile time instead of trusting comments: fields carry
-// LIBRA_GUARDED_BY(mu_), `_locked` helpers carry LIBRA_REQUIRES(mu_), and
-// any drift (a new call site touching guarded state without the lock) breaks
+// The simulator core is single-threaded: one event loop owns the harvest
+// pools, container pools and scheduler state, so they carry no lock. State
+// shared across threads (the log sink) is guarded by util::Mutex, and these
+// macros let `clang -Wthread-safety` prove that lock discipline at compile
+// time instead of trusting comments: fields carry LIBRA_GUARDED_BY(mu_),
+// helpers that expect the lock held carry LIBRA_REQUIRES(mu_), and any
+// drift (a new call site touching guarded state without the lock) breaks
 // the LIBRA_ANALYZE=ON build.
 //
 // Modeled on abseil's base/thread_annotations.h; see
@@ -30,8 +30,8 @@
 /// The pointee may only be accessed while holding `x`.
 #define LIBRA_PT_GUARDED_BY(x) LIBRA_THREAD_ANNOTATION(pt_guarded_by(x))
 
-/// The function may only be called while holding `...` (for `_locked`
-/// helpers split out of public entry points).
+/// The function may only be called while holding `...` (for helpers split
+/// out of public entry points that take the lock).
 #define LIBRA_REQUIRES(...) \
   LIBRA_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 

@@ -91,6 +91,73 @@ TEST(ChaosRepro, AcceptsPreControlPlaneArtifacts) {
                std::invalid_argument);
 }
 
+/// A minimal valid repro with `line` (keyword + operands) in place of the
+/// line that starts with the same keyword.
+std::string minimal_repro_with(const std::string& line) {
+  std::string text =
+      "libra-chaos-repro v1\n"
+      "seed 1\n"
+      "num_shards 1\n"
+      "node 16 8192\n"
+      "profile 7 0 10 0 0 0.25 0 0\n"
+      "gen 4 300 20 9 0 0 300 0 0 1 0.05 0.5\n"
+      "num_tenants 1\n"
+      "end\n";
+  const std::string keyword = line.substr(0, line.find(' ') + 1);
+  const size_t at = text.find("\n" + keyword) + 1;
+  text.replace(at, text.find('\n', at) - at, line);
+  return text;
+}
+
+TEST(ChaosRepro, RejectsIntegerThatOverflowsItsField) {
+  EXPECT_EQ(chaos::parse_scenario(minimal_repro_with("num_shards 2")).num_shards,
+            2);
+  // 2^32 + 2 must be rejected, not narrowed to num_shards == 2.
+  try {
+    chaos::parse_scenario(minimal_repro_with("num_shards 4294967298"));
+    FAIL() << "num_shards 4294967298 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3 (num_shards)"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+        << e.what();
+  }
+  // Past the range of strtoll itself (ERANGE), and other narrowed fields.
+  for (const std::string& line :
+       {std::string("num_shards 99999999999999999999"),
+        std::string("num_shards -4294967295"),
+        std::string("num_tenants 2147483648"),
+        std::string("gen 4294967300 300 20 9 0 0 300 0 0 1 0.05 0.5")}) {
+    EXPECT_THROW(chaos::parse_scenario(minimal_repro_with(line)),
+                 std::invalid_argument)
+        << line;
+  }
+}
+
+TEST(ChaosRepro, RejectsNegativeUnsignedSeed) {
+  EXPECT_EQ(chaos::parse_scenario(
+                minimal_repro_with("seed 18446744073709551615"))
+                .seed,
+            18446744073709551615ULL);
+  // strtoull reads "-1" as 2^64 - 1; an unsigned field takes no sign.
+  try {
+    chaos::parse_scenario(minimal_repro_with("seed -1"));
+    FAIL() << "seed -1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2 (seed)"), std::string::npos)
+        << e.what();
+  }
+  for (const std::string& line :
+       {std::string("seed 18446744073709551616"),
+        std::string("profile -7 0 10 0 0 0.25 0 0"),
+        std::string("gen 4 300 20 -9 0 0 300 0 0 1 0.05 0.5")}) {
+    EXPECT_THROW(chaos::parse_scenario(minimal_repro_with(line)),
+                 std::invalid_argument)
+        << line;
+  }
+}
+
 TEST(ChaosFuzzer, DeterministicAcrossInstances) {
   ScenarioFuzzer a(42);
   ScenarioFuzzer b(42);

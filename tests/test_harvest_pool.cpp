@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <cstdint>
 
 #include "core/harvest_pool.h"
+#include "util/audit.h"
+#include "util/rng.h"
 
 namespace libra::core {
 namespace {
 
+using sim::InvocationId;
 using sim::Resources;
 
 TEST(HarvestPool, PutThenGetGrants) {
@@ -135,11 +138,14 @@ TEST(HarvestPool, IdleTimeIntegralsAccrue) {
   HarvestResourcePool pool;
   pool.put(1, {2, 100}, 100.0, /*now=*/0.0);
   // 2 cores idle for 10 seconds.
-  EXPECT_NEAR(pool.idle_cpu_core_seconds(10.0), 20.0, 1e-9);
-  EXPECT_NEAR(pool.idle_mem_mb_seconds(10.0), 1000.0, 1e-9);
+  const auto at10 = pool.idle_integrals(10.0);
+  EXPECT_NEAR(at10.cpu_core_seconds, 20.0, 1e-9);
+  EXPECT_NEAR(at10.mem_mb_seconds, 1000.0, 1e-9);
   // Borrow everything: idle accrual stops.
   pool.get({2, 100}, 9, 10.0);
-  EXPECT_NEAR(pool.idle_cpu_core_seconds(30.0), 20.0, 1e-9);
+  const auto at30 = pool.idle_integrals(30.0);
+  EXPECT_NEAR(at30.cpu_core_seconds, 20.0, 1e-9);
+  EXPECT_NEAR(at30.mem_mb_seconds, 1000.0, 1e-9);
 }
 
 TEST(HarvestPool, MergingPutsAccumulateAndKeepLaterExpiry) {
@@ -204,12 +210,11 @@ TEST(HarvestPool, IdleIntegralsAreMonotoneUnderInterleavedOps) {
   HarvestResourcePool pool;
   double last_cpu = 0.0, last_mem = 0.0;
   auto check = [&](double now) {
-    const double cpu = pool.idle_cpu_core_seconds(now);
-    const double mem = pool.idle_mem_mb_seconds(now);
-    EXPECT_GE(cpu, last_cpu - 1e-12);
-    EXPECT_GE(mem, last_mem - 1e-12);
-    last_cpu = cpu;
-    last_mem = mem;
+    const auto ii = pool.idle_integrals(now);
+    EXPECT_GE(ii.cpu_core_seconds, last_cpu - 1e-12);
+    EXPECT_GE(ii.mem_mb_seconds, last_mem - 1e-12);
+    last_cpu = ii.cpu_core_seconds;
+    last_mem = ii.mem_mb_seconds;
   };
   pool.put(1, {2, 256}, 100.0, 0.0);
   check(1.0);
@@ -228,27 +233,134 @@ TEST(HarvestPool, IdleIntegralsAreMonotoneUnderInterleavedOps) {
   EXPECT_GT(last_mem, 0.0);
 }
 
-TEST(HarvestPool, ConcurrentAccessIsSafe) {
-  // §5.1 "Concurrency": the pool must keep a consistent view under
-  // concurrent access (mutex-protected in the implementation).
+// Seeded property tests. The pool is owned by the serial event loop and
+// takes no lock, so "concurrent" here means many simulated actors whose op
+// streams one RNG interleaves on one thread; every operation is followed by
+// the full conservation audit. Fixed seeds: any failure replays exactly.
+// The suite name keeps these under the `-R HarvestPool` filter.
+
+// A long random mix of every pool operation across eight actors with
+// disjoint source/borrower id ranges; a periodic preempt_all plays a node
+// crash.
+TEST(HarvestPoolStress, ConcurrentMixedOpsPreserveInvariants) {
+  constexpr int kActors = 8;
+  constexpr int kOps = 3200;
+  constexpr int kCrashEvery = 100;
+
   HarvestResourcePool pool;
-  for (int i = 0; i < 64; ++i)
-    pool.put(i, {1, 64}, 1000.0, 0.0);
-  std::vector<std::thread> threads;
-  std::atomic<int> grants{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&pool, &grants, t] {
-      for (int i = 0; i < 200; ++i) {
-        const auto g = pool.get({0.25, 16}, 1000 + t * 1000 + i, 1.0);
-        if (!g.empty()) grants.fetch_add(1);
-        pool.reharvest(1000 + t * 1000 + i, 2.0);
+  util::Rng rng(1234);
+  double now = 0.0;
+  auto next_tick = [&now] { return now += 0.001; };
+  const long failures_before = util::audit::failures_observed();
+
+  for (int i = 0; i < kOps; ++i) {
+    const int actor = static_cast<int>(rng.uniform_int(0, kActors - 1));
+    const InvocationId source = 1000 * (actor + 1) + rng.uniform_int(0, 19);
+    const InvocationId borrower = 100000 * (actor + 1) + rng.uniform_int(0, 9);
+    const double t = next_tick();
+    if (i % kCrashEvery == kCrashEvery / 2) {
+      pool.preempt_all(t);
+      EXPECT_EQ(pool.entry_count(), 0u);
+      EXPECT_EQ(pool.outstanding_borrows(), 0u);
+    } else {
+      switch (rng.uniform_int(0, 9)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3: {  // put: harvest some volume
+          Resources vol{rng.uniform(0.1, 2.0), rng.uniform(16.0, 256.0)};
+          pool.put(source, vol, t + rng.uniform(0.5, 5.0), t);
+          break;
+        }
+        case 4:
+        case 5:
+        case 6: {  // get: borrow best-effort
+          HarvestResourcePool::GetOptions opt;
+          opt.timeliness_order = (i % 2 == 0);
+          pool.get({rng.uniform(0.1, 1.5), rng.uniform(16.0, 128.0)},
+                   borrower, t, opt);
+          break;
+        }
+        case 7:  // reharvest: borrower finished
+          pool.reharvest(borrower, t);
+          break;
+        case 8:  // preemptive release of one source
+          pool.preempt_source(source, t);
+          break;
+        default: {  // readers
+          const auto st = pool.debug_state();
+          (void)st;
+          const auto ii = pool.idle_integrals(t);
+          EXPECT_GE(ii.cpu_core_seconds, 0.0);
+          EXPECT_GE(ii.mem_mb_seconds, 0.0);
+          pool.snapshot(t);
+          break;
+        }
       }
-    });
+    }
+    pool.audit_now(next_tick());
   }
-  for (auto& th : threads) th.join();
-  EXPECT_GT(grants.load(), 0);
-  // All volume returned by reharvest: the pool is whole again.
-  EXPECT_NEAR(pool.idle_total().cpu, 64.0, 1e-6);
+  EXPECT_EQ(util::audit::failures_observed(), failures_before);
+  EXPECT_EQ(pool.debug_state().clock_regressions, 0);
+
+  // The final state must still satisfy conservation exactly: per source,
+  // idle + outstanding == harvested.
+  const auto st = pool.debug_state();
+  ASSERT_FALSE(st.entries.empty());
+  for (const auto& e : st.entries) {
+    double borrowed_cpu = 0.0, borrowed_mem = 0.0;
+    for (const auto& b : st.borrows) {
+      if (b.source == e.source) {
+        borrowed_cpu += b.amount.cpu;
+        borrowed_mem += b.amount.mem;
+      }
+    }
+    EXPECT_NEAR(e.idle.cpu + borrowed_cpu, e.harvested.cpu, 1e-6);
+    EXPECT_NEAR(e.idle.mem + borrowed_mem, e.harvested.mem, 1e-6);
+  }
+}
+
+// Six actors each put to their own sources and borrow from the pool, while
+// actor 0 wipes the pool every tenth round (a node crash). No grant may
+// outlive a wipe, and a final wipe leaves nothing behind.
+TEST(HarvestPoolStress, ConcurrentPreemptAllNeverLeaksGrants) {
+  constexpr int kActors = 6;
+  constexpr int kRounds = 150;
+
+  HarvestResourcePool pool;
+  util::Rng rng(99);
+  double now = 0.0;
+  auto next_tick = [&now] { return now += 0.001; };
+  const long failures_before = util::audit::failures_observed();
+
+  int round[kActors] = {};
+  int live = kActors;
+  while (live > 0) {
+    const int actor = static_cast<int>(rng.uniform_int(0, kActors - 1));
+    if (round[actor] == kRounds) continue;
+    const int i = round[actor]++;
+    if (round[actor] == kRounds) --live;
+    const double t = next_tick();
+    if (actor == 0 && i % 10 == 9) {
+      pool.preempt_all(t);
+      EXPECT_EQ(pool.entry_count(), 0u);
+      EXPECT_EQ(pool.outstanding_borrows(), 0u);
+    } else {
+      pool.put(10 * (actor + 1) + rng.uniform_int(0, 3),
+               {rng.uniform(0.1, 1.0), rng.uniform(16.0, 64.0)}, t + 2.0, t);
+      pool.get({0.5, 32.0}, 500 + actor, t);
+    }
+    pool.audit_now(next_tick());
+  }
+  EXPECT_EQ(util::audit::failures_observed(), failures_before);
+  EXPECT_GT(pool.outstanding_borrows(), 0u);
+
+  // After a final crash-teardown the pool must be completely empty.
+  pool.preempt_all(next_tick());
+  const auto st = pool.debug_state();
+  EXPECT_TRUE(st.entries.empty());
+  EXPECT_TRUE(st.borrows.empty());
+  EXPECT_EQ(pool.outstanding_borrows(), 0u);
 }
 
 }  // namespace

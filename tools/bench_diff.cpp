@@ -14,7 +14,9 @@
 //
 // Exit status: 0 when no shared row regressed, 1 on any regression, 2 on
 // usage/IO errors (a corrupt or missing baseline must fail loudly, not
-// compare as empty).
+// compare as empty). A tolerance that is not a whole finite non-negative
+// number, a non-finite row value and an unknown direction are usage/IO
+// errors too: the gate cannot judge such rows.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -40,6 +42,17 @@ void usage() {
                "0.30)\n");
 }
 
+/// Parses a --tolerance operand: the whole string must be one finite,
+/// non-negative number.
+bool parse_tolerance(const char* text, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0.0)
+    return false;
+  *out = v;
+  return true;
+}
+
 /// Fractional change of `now` vs `then` oriented so positive = worse.
 /// "lower" rows worsen by growing, "higher" rows by shrinking.
 double regression_fraction(const BenchRow& baseline, double now) {
@@ -55,10 +68,17 @@ int main(int argc, char** argv) {
   std::string old_path, new_path;
   double tolerance = 0.30;
   for (int i = 1; i < argc; ++i) {
+    const char* tol_text = nullptr;
     if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      tolerance = std::strtod(argv[++i], nullptr);
+      tol_text = argv[++i];
     } else if (std::strncmp(argv[i], "--tolerance=", 12) == 0) {
-      tolerance = std::strtod(argv[i] + 12, nullptr);
+      tol_text = argv[i] + 12;
+    }
+    if (tol_text != nullptr) {
+      if (!parse_tolerance(tol_text, &tolerance)) {
+        std::fprintf(stderr, "bench_diff: bad --tolerance '%s'\n", tol_text);
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "-h") == 0 ||
                std::strcmp(argv[i], "--help") == 0) {
       usage();
@@ -72,7 +92,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (old_path.empty() || new_path.empty() || tolerance < 0.0) {
+  if (old_path.empty() || new_path.empty()) {
     usage();
     return 2;
   }
