@@ -16,6 +16,11 @@
 //     (per-node maps vs indexed vectors), >= 1.25x on the record store
 //     (unordered_map vs DenseIdMap, bounded by per-record cache traffic).
 //
+// It also records two ungated trajectory rows for the Libra profiler on a
+// 300-function synthetic catalog (the perfbench libra_azure shape):
+// profiler_prewarm_s (duplicator + training of every function on the
+// machine's threads) and profiler_predict_ns (one prediction).
+//
 // With --json-out PATH (stripped before google-benchmark parses argv) the
 // gate measurements are merged into a BenchArtifact JSON file —
 // BENCH_hotpath.json in CI — which tools/bench_diff compares against the
@@ -40,6 +45,7 @@
 #include "exp/platforms.h"
 #include "exp/report.h"
 #include "exp/runner.h"
+#include "gen/synthetic_source.h"
 #include "ml/forest.h"
 #include "obs/obs_config.h"
 #include "obs/obs_session.h"
@@ -679,6 +685,51 @@ bool check_flat_entry_walk_speedup(exp::BenchArtifact* artifact) {
 
 }  // namespace
 
+/// Trajectory rows for the profiler's two phases, no gate: prewarm of a
+/// 300-function catalog (best of 3) and the mean cost of one prediction
+/// over a seeded stream of inputs across all functions.
+void record_profiler_rows(exp::BenchArtifact* artifact) {
+  gen::GenConfig g;
+  g.functions = 300;
+  g.seed = 7;
+  auto catalog =
+      std::make_shared<const sim::FunctionCatalog>(gen::synthetic_catalog(g));
+  double best_prewarm = 1e300;
+  std::unique_ptr<core::Profiler> profiler;
+  for (int rep = 0; rep < 3; ++rep) {
+    profiler = std::make_unique<core::Profiler>(core::ProfilerConfig{}, catalog);
+    const auto start = std::chrono::steady_clock::now();
+    profiler->prewarm(*catalog, 1, 30);
+    const auto stop = std::chrono::steady_clock::now();
+    best_prewarm = std::min(
+        best_prewarm, std::chrono::duration<double>(stop - start).count());
+  }
+  constexpr int kInvocations = 20000;
+  util::Rng rng(11);
+  std::vector<sim::Invocation> invs;
+  invs.reserve(kInvocations);
+  for (int i = 0; i < kInvocations; ++i) {
+    const auto func = static_cast<sim::FunctionId>(
+        rng.uniform_int(0, static_cast<int64_t>(catalog->size()) - 1));
+    invs.push_back(workload::make_invocation(
+        *catalog, i, func, catalog->at(func).sample_input(rng), 0.0));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (auto& inv : invs) {
+    profiler->predict(inv);
+    benchmark::DoNotOptimize(inv.pred_duration);
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  const double predict_ns =
+      std::chrono::duration<double, std::nano>(stop - start).count() /
+      kInvocations;
+  std::printf("profiler trajectory: prewarm %.3f s (300 functions), "
+              "predict %.0f ns/call\n",
+              best_prewarm, predict_ns);
+  artifact->add("profiler_prewarm_s", best_prewarm, "s");
+  artifact->add("profiler_predict_ns", predict_ns, "ns");
+}
+
 int main(int argc, char** argv) {
   // --json-out is ours, not google-benchmark's: strip it from argv before
   // Initialize so ReportUnrecognizedArguments doesn't reject it.
@@ -706,6 +757,7 @@ int main(int argc, char** argv) {
   const bool store_ok = check_flat_record_store_speedup(&artifact);
   const bool walk_ok = check_flat_entry_walk_speedup(&artifact);
   const bool scan_ok = check_flat_node_scan_speedup(&artifact);
+  record_profiler_rows(&artifact);
   if (!json_out.empty()) {
     std::string error;
     if (!exp::merge_bench_artifact(json_out, artifact, &error)) {

@@ -139,9 +139,10 @@ void HarvestResourcePool::unlink_src(Entry& entry, int32_t idx) {
 }
 
 void HarvestResourcePool::audit_now(SimTime now) const {
-  // Per-source outstanding grant totals, accumulated in the global
-  // insertion-order walk (the legacy borrows_ vector's order).
-  std::map<InvocationId, Resources> borrowed;
+  // Per-source outstanding grant totals, indexed like entries_ and
+  // accumulated in the global insertion-order walk (the legacy borrows_
+  // vector's order).
+  std::vector<Resources> borrowed(entries_.size());
   for (int32_t idx = borrow_head_; idx != -1;
        idx = borrow_slab_[static_cast<size_t>(idx)].next_order) {
     const BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
@@ -163,8 +164,8 @@ void HarvestResourcePool::audit_now(SimTime now) const {
                             << r.source << " borrower=" << r.borrower
                             << " borrow_expiry=" << r.est_expiry
                             << " entry_expiry=" << entry->est_expiry);
+      borrowed[static_cast<size_t>(entry - entries_.data())] += r.amount;
     }
-    borrowed[r.source] += r.amount;
   }
   // Per-tenant quota: no tenant's concurrently borrowed volume may exceed
   // its registered cap (per axis; tenants without a quota are unrestricted).
@@ -188,17 +189,18 @@ void HarvestResourcePool::audit_now(SimTime now) const {
   }
   // Conservation per source: idle + outstanding grants == harvested volume.
   // Entry order is ascending source id by construction (sorted vector).
-  for (const auto& entry : entries_) {
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& entry = entries_[i];
     LIBRA_AUDIT_CHECK(entry.idle.cpu >= -1e-9 && entry.idle.mem >= -1e-9,
                       "negative idle volume: source=" << entry.source
                           << " idle=" << entry.idle.to_string()
                           << " now=" << now);
-    const Resources outstanding = entry.idle + borrowed[entry.source];
+    const Resources outstanding = entry.idle + borrowed[i];
     LIBRA_AUDIT_CHECK(
         near(outstanding, entry.harvested),
         "conservation violated: source="
             << entry.source << " idle=" << entry.idle.to_string()
-            << " borrowed=" << borrowed[entry.source].to_string()
+            << " borrowed=" << borrowed[i].to_string()
             << " harvested=" << entry.harvested.to_string()
             << " expiry=" << entry.est_expiry << " now=" << now);
   }

@@ -1,9 +1,13 @@
 #include "core/profiler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <thread>
 
 #include "ml/dataset.h"
 #include "ml/metrics.h"
@@ -71,7 +75,7 @@ Profiler::Profiler(ProfilerConfig cfg,
 }
 
 void Profiler::train_function(FunctionId func, const InputSpec& first_input,
-                              FuncState& state) {
+                              FuncState& state) const {
   const auto& model = catalog_->at(func);
   util::Rng rng = rng_.fork(static_cast<uint64_t>(func) * 977 + 5);
 
@@ -115,19 +119,30 @@ void Profiler::train_function(FunctionId func, const InputSpec& first_input,
   // the forest from memorizing pilot noise.
   fopt.tree.min_samples_leaf = 3;
   fopt.tree.max_depth = 10;
-  state.cpu_clf = ml::RandomForestClassifier(fopt);
-  state.cpu_clf.fit(cpu_split.train);
-  state.mem_clf = ml::RandomForestClassifier(fopt);
-  state.mem_clf.fit(mem_split.train);
-  state.dur_reg = ml::RandomForestRegressor(fopt);
-  state.dur_reg.fit(dur_split.train);
+  ml::RandomForestClassifier cpu_forest(fopt);
+  cpu_forest.fit(cpu_split.train);
+  state.cpu_clf = cpu_forest.compile();
+  ml::RandomForestClassifier mem_forest(fopt);
+  mem_forest.fit(mem_split.train);
+  state.mem_clf = mem_forest.compile();
+  ml::RandomForestRegressor dur_forest(fopt);
+  dur_forest.fit(dur_split.train);
+  state.dur_reg = dur_forest.compile();
 
+  // Held-out metrics through the compiled models, i.e. the serving path.
+  auto predict_all = [](const auto& step,
+                        const std::vector<ml::FeatureRow>& x) {
+    std::vector<decltype(step(0.0))> out;
+    out.reserve(x.size());
+    for (const auto& row : x) out.push_back(step(row[0]));
+    return out;
+  };
   state.metrics.cpu_accuracy = ml::accuracy(
-      cpu_split.test.labels, state.cpu_clf.predict_all(cpu_split.test.x));
+      cpu_split.test.labels, predict_all(state.cpu_clf, cpu_split.test.x));
   state.metrics.mem_accuracy = ml::accuracy(
-      mem_split.test.labels, state.mem_clf.predict_all(mem_split.test.x));
+      mem_split.test.labels, predict_all(state.mem_clf, mem_split.test.x));
   state.metrics.duration_r2 = ml::r2_score(
-      dur_split.test.targets, state.dur_reg.predict_all(dur_split.test.x));
+      dur_split.test.targets, predict_all(state.dur_reg, dur_split.test.x));
 
   bool related = state.metrics.cpu_accuracy >= cfg_.accuracy_threshold &&
                  state.metrics.mem_accuracy >= cfg_.accuracy_threshold &&
@@ -144,15 +159,14 @@ void Profiler::train_function(FunctionId func, const InputSpec& first_input,
 }
 
 void Profiler::serve_ml(const FuncState& state, Invocation& inv) const {
-  const ml::FeatureRow row = {inv.input.size};
-  const double cpu = std::max(1, state.cpu_clf.predict(row));
+  const double size = inv.input.size;
+  const double cpu = std::max(1, state.cpu_clf(size));
   // Memory classes map back to the bucket's upper edge: a conservative
   // choice that avoids harvesting into the predicted band.
   const double mem =
-      (static_cast<double>(state.mem_clf.predict(row)) + 1.0) *
-      cfg_.mem_class_mb;
+      (static_cast<double>(state.mem_clf(size)) + 1.0) * cfg_.mem_class_mb;
   inv.pred_demand = {cpu, mem};
-  inv.pred_duration = std::max(0.01, state.dur_reg.predict(row));
+  inv.pred_duration = std::max(0.01, state.dur_reg(size));
   inv.pred_size_related = true;
   inv.first_seen = false;
 }
@@ -223,12 +237,52 @@ void Profiler::observe(const Observation& obs) {
 
 void Profiler::prewarm(const sim::FunctionCatalog& catalog, uint64_t seed,
                        int samples_per_function) {
+  prewarm_with_workers(catalog, seed, samples_per_function,
+                       std::thread::hardware_concurrency());
+}
+
+void Profiler::prewarm_with_workers(const sim::FunctionCatalog& catalog,
+                                    uint64_t seed, int samples_per_function,
+                                    unsigned workers) {
+  // Serial part: the sample inputs come from one stream in catalog order,
+  // and every state is inserted before any thread starts, so the threads
+  // never touch the map itself.
+  struct Job {
+    FunctionId func;
+    InputSpec input;
+    FuncState* state;
+    std::exception_ptr error;
+  };
+  std::vector<Job> jobs;
   util::Rng rng(util::mix64(seed ^ 0x11b7a11ULL));
   for (const auto& func : catalog.all()) {
     auto& state = functions_[func->id()];
     if (state.mode == Mode::kUntrained)
-      train_function(func->id(), func->sample_input(rng), state);
+      jobs.push_back({func->id(), func->sample_input(rng), &state, nullptr});
   }
+  // Parallel part: each job writes only its own state.
+  std::atomic<size_t> next{0};
+  auto drain = [&] {
+    for (size_t i = next++; i < jobs.size(); i = next++) {
+      try {
+        train_function(jobs[i].func, jobs[i].input, *jobs[i].state);
+      } catch (...) {
+        jobs[i].error = std::current_exception();
+      }
+    }
+  };
+  const size_t threads = std::min<size_t>(std::max(1u, workers), jobs.size());
+  std::vector<std::thread> pool;
+  try {
+    for (size_t t = 1; t < threads; ++t) pool.emplace_back(drain);
+  } catch (const std::system_error&) {
+    // No more threads to be had: the ones started and this one drain the
+    // queue, which changes nothing but the wall time.
+  }
+  drain();
+  for (auto& thread : pool) thread.join();
+  for (const auto& job : jobs)
+    if (job.error) std::rethrow_exception(job.error);
   // Seed the histogram models with historical full-allocation telemetry.
   DemandPredictor::prewarm(catalog, seed, samples_per_function);
 }

@@ -23,6 +23,7 @@
 #include "core/predictor.h"
 #include "ml/forest.h"
 #include "ml/histogram.h"
+#include "ml/step_function.h"
 #include "sim/function.h"
 
 namespace libra::core {
@@ -77,8 +78,14 @@ class Profiler final : public DemandPredictor {
   /// duplicator dataset seeded from a sampled input and fills the histogram
   /// models with historical observations, so the evaluation trace is pure
   /// held-out test data.
+  /// Training runs on std::thread::hardware_concurrency() threads.
   void prewarm(const sim::FunctionCatalog& catalog, uint64_t seed,
                int samples_per_function) override;
+  /// prewarm() on `workers` training threads. The sample inputs are drawn
+  /// serially in catalog order and every function's RNG is keyed by its
+  /// id, so the trained models are the same for any worker count.
+  void prewarm_with_workers(const sim::FunctionCatalog& catalog, uint64_t seed,
+                            int samples_per_function, unsigned workers);
 
   /// Training metrics of a profiled function (for the §8.6 analysis).
   struct TrainMetrics {
@@ -104,11 +111,13 @@ class Profiler final : public DemandPredictor {
  private:
   enum class Mode { kUntrained, kMl, kHistogram };
 
+  /// The three forests are trained, compiled to step functions of the
+  /// input size and dropped; only the compiled models are served.
   struct FuncState {
     Mode mode = Mode::kUntrained;
-    ml::RandomForestClassifier cpu_clf;
-    ml::RandomForestClassifier mem_clf;
-    ml::RandomForestRegressor dur_reg;
+    ml::StepFunction<int> cpu_clf;
+    ml::StepFunction<int> mem_clf;
+    ml::StepFunction<double> dur_reg;
     TrainMetrics metrics;
     ml::HistogramModel hist_cpu{0.0, 64.0, 128};
     ml::HistogramModel hist_mem{0.0, 8192.0, 256};
@@ -118,8 +127,10 @@ class Profiler final : public DemandPredictor {
     double pilot_median_duration = 1.0;
   };
 
+  /// Reads only cfg_, catalog_ and rng_ and writes only `state`, so
+  /// prewarm may train distinct functions concurrently.
   void train_function(sim::FunctionId func, const sim::InputSpec& first_input,
-                      FuncState& state);
+                      FuncState& state) const;
   /// Serving paths of trained functions, shared by predict() and
   /// predict_fallback(): write the prediction fields of `inv` (setting,
   /// never clearing, profiling_probe), never touch profiler state.

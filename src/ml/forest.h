@@ -3,6 +3,7 @@
 // prediction performance").
 #pragma once
 
+#include "ml/step_function.h"
 #include "ml/tree.h"
 
 namespace libra::ml {
@@ -21,6 +22,10 @@ class RandomForestClassifier : public Classifier {
   void fit(const Dataset& data) override;
   int predict(const FeatureRow& row) const override;  // majority vote
   size_t tree_count() const { return trees_.size(); }
+  /// The fitted forest as a step function of feature 0: the same vote and
+  /// first-max tie-break per interval, so it equals predict({x}) for every
+  /// x, NaN included. Throws when a split tests another feature.
+  StepFunction<int> compile() const;
 
  private:
   ForestOptions opt_;
@@ -34,6 +39,10 @@ class RandomForestRegressor : public Regressor {
   void fit(const Dataset& data) override;
   double predict(const FeatureRow& row) const override;  // mean of trees
   size_t tree_count() const { return trees_.size(); }
+  /// The fitted forest as a step function of feature 0. Each interval sums
+  /// the trees in tree order and divides by the tree count, so it equals
+  /// predict({x}) bit for bit. Throws when a split tests another feature.
+  StepFunction<double> compile() const;
 
  private:
   ForestOptions opt_;

@@ -34,22 +34,22 @@ void HistogramModel::observe(double value) {
   size_t b = static_cast<size_t>((clamped - lo_) / bucket_width());
   if (b >= counts_.size()) b = counts_.size() - 1;
   ++counts_[b];
-  if (exact_.size() < max_exact_) exact_.push_back(value);
+  // Retained samples stay sorted, so percentile() reads order statistics in
+  // place instead of sorting a copy on every call.
+  if (exact_.size() < max_exact_)
+    exact_.insert(std::upper_bound(exact_.begin(), exact_.end(), value), value);
 }
 
 double HistogramModel::percentile(double p) const {
   if (count_ == 0) throw std::logic_error("HistogramModel: empty");
   if (p < 0 || p > 100) throw std::invalid_argument("percentile range");
   if (exact_.size() == count_) {
-    // Small-sample path: exact order statistics.
-    std::vector<double> sorted(exact_);
-    std::sort(sorted.begin(), sorted.end());
-    const double rank =
-        p / 100.0 * static_cast<double>(sorted.size() - 1);
+    // Small-sample path: exact order statistics of the sorted samples.
+    const double rank = p / 100.0 * static_cast<double>(exact_.size() - 1);
     const size_t lo = static_cast<size_t>(rank);
-    const size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const size_t hi = std::min(lo + 1, exact_.size() - 1);
     const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+    return exact_[lo] + frac * (exact_[hi] - exact_[lo]);
   }
   // Bucket path with linear interpolation inside the target bucket.
   const double target = p / 100.0 * static_cast<double>(count_);

@@ -12,14 +12,15 @@ namespace libra::ml {
 class HistogramModel {
  public:
   /// `bins` fixed-width buckets spanning [lo, hi]; out-of-range observations
-  /// clamp into the edge buckets, exact samples are also retained up to
-  /// `max_exact` for precise small-sample percentiles.
+  /// clamp into the edge buckets, exact samples are also retained (kept
+  /// sorted) up to `max_exact` for precise small-sample percentiles.
   HistogramModel(double lo, double hi, size_t bins, size_t max_exact = 4096);
 
   void observe(double value);
 
   /// Percentile estimate, p in [0, 100]. Uses exact retained samples while
-  /// available, afterwards interpolates within buckets. Throws when empty.
+  /// available (O(1): they are kept sorted), afterwards interpolates within
+  /// buckets. Throws when empty.
   double percentile(double p) const;
 
   size_t count() const { return count_; }
@@ -36,7 +37,7 @@ class HistogramModel {
 
   double lo_, hi_;
   std::vector<size_t> counts_;
-  std::vector<double> exact_;
+  std::vector<double> exact_;  // ascending
   size_t max_exact_;
   size_t count_ = 0;
   double sum_ = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace libra::ml {
@@ -105,6 +106,14 @@ int Cart::build(const Dataset& data, std::vector<size_t>& indices,
     std::sort(work.begin(), work.end(), [&](size_t a, size_t b) {
       return data.x[a][f] < data.x[b][f];
     });
+    std::vector<size_t> left_counts, right_counts;
+    size_t counted = 0;  // rows [0, counted) are in left_counts
+    if (classification) {
+      left_counts.assign(static_cast<size_t>(num_classes), 0);
+      right_counts.assign(static_cast<size_t>(num_classes), 0);
+      for (size_t row : work)
+        ++right_counts[static_cast<size_t>(data.labels[row])];
+    }
     // Evaluate splits between consecutive distinct values.
     for (size_t pos = opt.min_samples_leaf;
          pos + opt.min_samples_leaf <= work.size(); ++pos) {
@@ -114,15 +123,16 @@ int Cart::build(const Dataset& data, std::vector<size_t>& indices,
       if (hi <= lo) continue;
       double child_impurity;
       if (classification) {
-        std::vector<size_t> left_counts(static_cast<size_t>(num_classes), 0);
-        std::vector<size_t> right_counts(static_cast<size_t>(num_classes), 0);
-        for (size_t i = 0; i < pos; ++i)
-          ++left_counts[static_cast<size_t>(data.labels[work[i]])];
-        for (size_t i = pos; i < work.size(); ++i)
-          ++right_counts[static_cast<size_t>(data.labels[work[i]])];
+        // Class counts of the left/right halves follow `pos` incrementally.
+        for (; counted < pos; ++counted) {
+          const auto label = static_cast<size_t>(data.labels[work[counted]]);
+          ++left_counts[label];
+          --right_counts[label];
+        }
         auto gini_of = [](const std::vector<size_t>& counts, size_t total) {
           double g = 1.0;
           for (size_t c : counts) {
+            if (c == 0) continue;  // g - 0.0 == g: skipping is exact
             const double p =
                 static_cast<double>(c) / static_cast<double>(total);
             g -= p * p;
@@ -197,6 +207,31 @@ double Cart::predict(const FeatureRow& row) const {
     cur = row[n.feature] <= n.threshold ? n.left : n.right;
   }
   return nodes_[static_cast<size_t>(cur)].value;
+}
+
+void Cart::steps(std::vector<double>* breaks,
+                 std::vector<double>* values) const {
+  if (nodes_.empty()) throw std::logic_error("Cart: steps before fit");
+  breaks->clear();
+  values->clear();
+  // In-order walk: node `id` receives the rows in (lo, hi]. The right spine
+  // (`rightmost`) also receives NaN, so its leaf is kept even when empty.
+  auto walk = [&](auto& self, int id, double lo, double hi,
+                  bool rightmost) -> void {
+    const auto& n = nodes_[static_cast<size_t>(id)];
+    if (n.is_leaf) {
+      if (!(lo < hi) && !rightmost) return;
+      if (!values->empty()) breaks->push_back(lo);
+      values->push_back(n.value);
+      return;
+    }
+    if (n.feature != 0)
+      throw std::logic_error("Cart: steps need a single-feature tree");
+    self(self, n.left, lo, std::min(hi, n.threshold), false);
+    self(self, n.right, std::max(lo, n.threshold), hi, rightmost);
+  };
+  walk(walk, 0, -std::numeric_limits<double>::infinity(),
+       std::numeric_limits<double>::infinity(), true);
 }
 
 int Cart::depth() const {

@@ -41,6 +41,12 @@ class Cart {
   size_t node_count() const { return nodes_.size(); }
   int depth() const;
 
+  /// The tree as a step function of feature 0, in StepFunction's layout:
+  /// leaf i covers (breaks[i-1], breaks[i]], the last leaf everything above
+  /// and NaN. Leaves whose interval is empty are left out. Throws when a
+  /// split tests any other feature.
+  void steps(std::vector<double>* breaks, std::vector<double>* values) const;
+
  private:
   int build(const Dataset& data, std::vector<size_t>& indices, size_t begin,
             size_t end, int depth, bool classification, int num_classes,

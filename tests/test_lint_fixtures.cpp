@@ -76,6 +76,13 @@ TEST(LintUnordered, FiresOnRangeForAndIteratorWalk) {
   EXPECT_EQ(count_of(fs, Check::kUnorderedIteration, false), 2);
 }
 
+TEST(LintUnordered, FiresOnMembersWithTrailingMacroOrAttribute) {
+  const auto fs = run_fixture("unordered_decl_fire.cpp",
+                              "src/sim/unordered_decl_fire.cpp",
+                              Check::kUnorderedIteration);
+  EXPECT_EQ(count_of(fs, Check::kUnorderedIteration, false), 2);
+}
+
 TEST(LintUnordered, SortedSnapshotAllowAndOrderedMapAreClean) {
   const auto fs = run_fixture("unordered_clean.cpp",
                               "src/sim/unordered_clean.cpp",

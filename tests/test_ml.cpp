@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "ml/dataset.h"
 #include "ml/forest.h"
@@ -8,6 +12,7 @@
 #include "ml/linear.h"
 #include "ml/metrics.h"
 #include "ml/mlp.h"
+#include "ml/step_function.h"
 #include "ml/svm.h"
 #include "ml/tree.h"
 
@@ -258,6 +263,178 @@ TEST(Histogram, EmptyThrows) {
   HistogramModel h(0, 10, 10);
   EXPECT_THROW(h.percentile(50), std::logic_error);
   EXPECT_THROW(h.mean(), std::logic_error);
+}
+
+/// The percentile HistogramModel computed before it kept its samples
+/// sorted: copy, sort, interpolate between order statistics.
+double copy_and_sort_percentile(const std::vector<double>& samples, double p) {
+  std::vector<double> sorted(samples);
+  std::sort(sorted.begin(), sorted.end());
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+/// Observes `total` seeded samples with many duplicates (and some outside
+/// [lo, hi]) and, at every count in `checked`, compares each percentile with
+/// the copy-and-sort result while samples are exact and with a bucket-only
+/// twin (max_exact = 0) after that.
+void check_percentiles_against_copy_and_sort(
+    size_t max_exact, size_t total, const std::vector<size_t>& checked) {
+  HistogramModel h(0.0, 64.0, 128, max_exact);
+  HistogramModel buckets_only(0.0, 64.0, 128, /*max_exact=*/0);
+  std::vector<double> samples;
+  util::Rng rng(97);
+  size_t next_check = 0;
+  for (size_t n = 1; n <= total; ++n) {
+    const double v = std::round(rng.uniform(-4.0, 70.0) * 2.0) / 2.0;
+    h.observe(v);
+    buckets_only.observe(v);
+    samples.push_back(v);
+    if (next_check >= checked.size() || checked[next_check] != n) continue;
+    ++next_check;
+    for (double p : {0.0, 5.0, 50.0, 99.0, 100.0}) {
+      const double want = n <= max_exact ? copy_and_sort_percentile(samples, p)
+                                         : buckets_only.percentile(p);
+      ASSERT_EQ(std::bit_cast<uint64_t>(h.percentile(p)),
+                std::bit_cast<uint64_t>(want))
+          << "n=" << n << " p=" << p;
+    }
+  }
+  ASSERT_EQ(next_check, checked.size());
+}
+
+TEST(Histogram, SortedPercentilesMatchCopyAndSortAtEveryCount) {
+  constexpr size_t kMaxExact = 64;
+  std::vector<size_t> every;
+  for (size_t n = 1; n <= kMaxExact + 40; ++n) every.push_back(n);
+  check_percentiles_against_copy_and_sort(kMaxExact, kMaxExact + 40, every);
+}
+
+TEST(Histogram, SortedPercentilesMatchCopyAndSortAtDefaultCapacity) {
+  // The profiler's histograms use the default max_exact (4096): check a
+  // spread of counts and every count around the capacity boundary.
+  std::vector<size_t> checked;
+  for (size_t n = 1; n < 4090; n += 37) checked.push_back(n);
+  for (size_t n = 4090; n <= 4110; ++n) checked.push_back(n);
+  check_percentiles_against_copy_and_sort(4096, 4110, checked);
+}
+
+// ---- compiled step functions vs tree-walked forests ----
+
+/// Profiler-shaped data: one feature (log-uniform input size), a noisy
+/// step-like class label and a noisy smooth regression target.
+Dataset one_feature_classification(size_t n, int classes, util::Rng& rng) {
+  Dataset d;
+  for (size_t i = 0; i < n; ++i) {
+    const double x = std::exp(rng.uniform(std::log(0.2), std::log(100.0)));
+    int label = static_cast<int>(std::log(x + 1.0) * classes / 5.0);
+    if (rng.bernoulli(0.2))
+      label = static_cast<int>(rng.uniform_int(0, classes - 1));
+    d.add_classification({x}, std::clamp(label, 0, classes - 1));
+  }
+  return d;
+}
+
+Dataset one_feature_regression(size_t n, util::Rng& rng) {
+  Dataset d;
+  for (size_t i = 0; i < n; ++i) {
+    const double x = std::exp(rng.uniform(std::log(0.2), std::log(100.0)));
+    d.add_regression({x}, 0.5 + 0.3 * x + rng.normal(0.0, 2.0));
+  }
+  return d;
+}
+
+/// Every input worth probing: each compiled breakpoint and each midpoint
+/// of two training values (every threshold a bootstrap tree can pick) at
+/// -1 ulp, exactly, and +1 ulp; every training value; points below the
+/// first and above the last breakpoint, the infinities and NaN.
+std::vector<double> probe_points(const Dataset& d,
+                                 const std::vector<double>& breaks) {
+  std::vector<double> centers(breaks);
+  for (size_t i = 0; i < d.size(); ++i) {
+    centers.push_back(d.x[i][0]);
+    for (size_t j = i + 1; j < d.size(); ++j)
+      centers.push_back(0.5 * (d.x[i][0] + d.x[j][0]));
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> points;
+  for (double c : centers) {
+    points.push_back(std::nextafter(c, -kInf));
+    points.push_back(c);
+    points.push_back(std::nextafter(c, kInf));
+  }
+  if (!breaks.empty()) {
+    points.push_back(breaks.front() - 1.0);
+    points.push_back(breaks.back() + 1.0);
+  }
+  for (double x : {-kInf, kInf, std::numeric_limits<double>::lowest(),
+                   std::numeric_limits<double>::max(), 0.0, -1.0,
+                   std::numeric_limits<double>::quiet_NaN()})
+    points.push_back(x);
+  return points;
+}
+
+TEST(StepFunction, LookupIsRightClosedAndNanTakesLastValue) {
+  const StepFunction<int> f({1.0, 2.0}, {10, 20, 30});
+  EXPECT_EQ(f(0.5), 10);
+  EXPECT_EQ(f(1.0), 10);  // x <= threshold goes left
+  EXPECT_EQ(f(std::nextafter(1.0, 2.0)), 20);
+  EXPECT_EQ(f(2.0), 20);
+  EXPECT_EQ(f(3.0), 30);
+  EXPECT_EQ(f(std::numeric_limits<double>::quiet_NaN()), 30);
+  EXPECT_THROW(StepFunction<int>({1.0}, {1}), std::invalid_argument);
+  EXPECT_THROW(StepFunction<int>()(1.0), std::logic_error);
+}
+
+class CompiledForest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CompiledForest, ClassifierEqualsTreeWalkEverywhere) {
+  // Few trees make vote ties common, which exercises the first-max rule.
+  util::Rng rng(41);
+  const auto data = one_feature_classification(70, 4, rng);
+  ForestOptions opt;
+  opt.num_trees = GetParam();
+  opt.tree.min_samples_leaf = 3;
+  opt.tree.max_depth = 10;
+  RandomForestClassifier forest(opt);
+  forest.fit(data);
+  const StepFunction<int> compiled = forest.compile();
+  ASSERT_FALSE(compiled.breaks().empty());
+  const auto& breaks = compiled.breaks();
+  EXPECT_TRUE(std::is_sorted(breaks.begin(), breaks.end()));
+  for (double x : probe_points(data, compiled.breaks()))
+    ASSERT_EQ(compiled(x), forest.predict({x})) << "x=" << x;
+}
+
+TEST_P(CompiledForest, RegressorEqualsTreeWalkBitForBit) {
+  util::Rng rng(43);
+  const auto data = one_feature_regression(70, rng);
+  ForestOptions opt;
+  opt.num_trees = GetParam();
+  opt.tree.min_samples_leaf = 3;
+  opt.tree.max_depth = 10;
+  RandomForestRegressor forest(opt);
+  forest.fit(data);
+  const StepFunction<double> compiled = forest.compile();
+  ASSERT_FALSE(compiled.breaks().empty());
+  for (double x : probe_points(data, compiled.breaks()))
+    ASSERT_EQ(std::bit_cast<uint64_t>(compiled(x)),
+              std::bit_cast<uint64_t>(forest.predict({x})))
+        << "x=" << x;
+}
+
+INSTANTIATE_TEST_SUITE_P(TreeCounts, CompiledForest,
+                         ::testing::Values(1, 4, 40));
+
+TEST(CompiledForest, RejectsSplitsOnOtherFeatures) {
+  util::Rng rng(47);
+  RandomForestClassifier forest;
+  forest.fit(two_blob_classification(200, rng));
+  EXPECT_THROW(forest.compile(), std::logic_error);
+  EXPECT_THROW(RandomForestRegressor().compile(), std::logic_error);
 }
 
 // Property sweep: RF classification accuracy is robust across seeds.

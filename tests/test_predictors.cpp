@@ -202,5 +202,47 @@ TEST_F(ProfilerTest, TrainMetricsShowTableTwoShape) {
   }
 }
 
+// Prewarm trains functions on worker threads; each function's models must
+// not depend on how many there are. Prewarm is the only code that starts
+// threads, so CI runs the ProfilerTest suite under TSan.
+TEST_F(ProfilerTest, PrewarmWorkerCountDoesNotChangeModels) {
+  Profiler serial(ProfilerConfig{}, catalog_);
+  serial.prewarm_with_workers(*catalog_, 77, 20, 1);
+  for (unsigned workers : {2u, 3u, 16u}) {
+    Profiler parallel(ProfilerConfig{}, catalog_);
+    parallel.prewarm_with_workers(*catalog_, 77, 20, workers);
+    for (int f = 0; f < static_cast<int>(catalog_->size()); ++f) {
+      const auto a = serial.train_metrics(f);
+      const auto b = parallel.train_metrics(f);
+      ASSERT_TRUE(a.has_value() && b.has_value()) << f;
+      EXPECT_EQ(a->cpu_accuracy, b->cpu_accuracy) << f;
+      EXPECT_EQ(a->mem_accuracy, b->mem_accuracy) << f;
+      EXPECT_EQ(a->duration_r2, b->duration_r2) << f;
+      EXPECT_EQ(a->classified_size_related, b->classified_size_related) << f;
+      // Predictions over a log-spaced size grid, through both serving paths.
+      for (double size = 0.01; size < 1e4; size *= 1.37) {
+        auto x = workload::make_invocation(*catalog_, 0, f, {size, 5}, 0.0);
+        auto y = x;
+        serial.predict(x);
+        parallel.predict(y);
+        EXPECT_EQ(x.pred_demand.cpu, y.pred_demand.cpu) << f << " " << size;
+        EXPECT_EQ(x.pred_demand.mem, y.pred_demand.mem) << f << " " << size;
+        EXPECT_EQ(x.pred_duration, y.pred_duration) << f << " " << size;
+        EXPECT_EQ(x.pred_size_related, y.pred_size_related) << f;
+        serial.predict_fallback(x);
+        parallel.predict_fallback(y);
+        EXPECT_EQ(x.pred_demand.cpu, y.pred_demand.cpu) << f << " " << size;
+        EXPECT_EQ(x.pred_duration, y.pred_duration) << f << " " << size;
+      }
+    }
+  }
+}
+
+TEST_F(ProfilerTest, PrewarmWithZeroWorkersStillTrains) {
+  profiler_->prewarm_with_workers(*catalog_, 77, 20, 0);
+  for (int f = 0; f < static_cast<int>(catalog_->size()); ++f)
+    EXPECT_TRUE(profiler_->train_metrics(f).has_value()) << f;
+}
+
 }  // namespace
 }  // namespace libra::core

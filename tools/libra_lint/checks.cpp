@@ -165,9 +165,27 @@ void index_unordered(const std::string& rule_path, const Tokens& toks,
     if (j >= toks.size() || toks[j].kind != TokKind::kIdent) continue;
     const std::string name = toks[j].text;
     const std::string next = j + 1 < toks.size() ? toks[j + 1].text : "";
-    if (next == "(")
+    if (next == "(") {
       index->unordered_fns[name] = rule_path;
-    else if (next == ";" || next == "=" || next == "{" || next == ",")
+      continue;
+    }
+    // A variable's declarator may carry trailing macro calls
+    // (LIBRA_GUARDED_BY(mu)) or [[attributes]] before its ;/=/{/,.
+    size_t k = j + 1;
+    while (k < toks.size()) {
+      if (toks[k].kind == TokKind::kIdent && k + 1 < toks.size() &&
+          toks[k + 1].text == "(") {
+        k = skip_parens(toks, k + 1);
+      } else if (toks[k].text == "[" && k + 1 < toks.size() &&
+                 toks[k + 1].text == "[") {
+        while (k < toks.size() && toks[k].text != "]") ++k;
+        k += 2;  // past "]]"
+      } else {
+        break;
+      }
+    }
+    const std::string end = k < toks.size() ? toks[k].text : "";
+    if (end == ";" || end == "=" || end == "{" || end == ",")
       index->unordered_vars_by_stem[stem].push_back(name);
   }
 }
