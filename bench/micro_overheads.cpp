@@ -6,8 +6,10 @@
 // prediction < 2 ms).
 //
 // After the google-benchmark suite, main() runs hard gates:
-//   * the pool put/get cycle with a *disabled* ObsSession attached must stay
-//     within 1% of the listener-free baseline (DESIGN.md §5f);
+//   * the pool put/get cycle with a *disabled* ObsSession attached must make
+//     exactly as many heap allocations as the listener-free cycle, and the
+//     session must record nothing (DESIGN.md §5f; operator new is replaced
+//     below to count allocations; both cycle timings are ungated rows);
 //   * the §5k const-ref pool-status read must not cost more than the
 //     per-decision copy it replaced;
 //   * the §5l flat hot-path layouts must beat in-bench replicas of the
@@ -28,11 +30,14 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -57,6 +62,25 @@
 #include "workload/trace.h"
 
 using namespace libra;
+
+// Global allocation counter for the disabled-obs gate. Atomic because
+// profiler prewarm allocates from its worker threads.
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+// Out of line: once inlined, gcc's -Wmismatched-new-delete pairs the
+// malloc()/free() inside with new-expressions and delete-expressions and
+// warns.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -313,38 +337,51 @@ double best_cycle_time(core::PoolEventListener* listener, int cycles,
   return best;
 }
 
-/// The observability contract: a disabled ObsSession on the pool hot path
-/// costs <= 1% over no listener at all. Best-of-N timings with retries damp
-/// scheduler noise; returns true when the gate holds.
-bool check_disabled_obs_overhead(exp::BenchArtifact* artifact) {
-  constexpr int kCycles = 200000;
-  constexpr int kReps = 5;
-  constexpr double kMaxRelative = 0.01;
-  // Sub-nanosecond absolute floor: below this the difference is timer
-  // granularity, not dispatch cost.
-  constexpr double kAbsFloorSec = 5e-10;
+/// Heap allocations made by `cycles` put/get/preempt cycles on a fresh pool
+/// with `listener` attached (nullptr: no listener).
+long count_cycle_allocations(core::PoolEventListener* listener, int cycles) {
+  core::HarvestResourcePool pool;
+  pool.set_event_listener(listener);
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  time_pool_cycles(pool, cycles);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
 
+/// The observability contract (DESIGN.md §5f), checked exactly: a disabled
+/// ObsSession on the pool hot path allocates nothing beyond what the
+/// listener-free cycle allocates, and records no metric, series or trace
+/// event. Both cycle timings land in the artifact as ungated trajectory
+/// rows. Returns true when the gate holds.
+bool check_disabled_obs_allocations(exp::BenchArtifact* artifact) {
+  constexpr int kCycles = 20000;
   obs::ObsConfig cfg;
   cfg.enabled = false;
   obs::ObsSession disabled(cfg);
 
-  for (int attempt = 1; attempt <= 3; ++attempt) {
-    const double base = best_cycle_time(nullptr, kCycles, kReps);
-    const double with_obs = best_cycle_time(&disabled, kCycles, kReps);
-    const double overhead = with_obs - base;
-    const double relative = overhead / base;
-    std::printf(
-        "disabled-obs overhead gate (attempt %d): base %.1f ns/cycle, "
-        "disabled obs %.1f ns/cycle, overhead %.2f%%\n",
-        attempt, base * 1e9, with_obs * 1e9, relative * 100.0);
-    if (overhead <= kAbsFloorSec || relative <= kMaxRelative) {
-      std::printf("disabled-obs overhead gate: PASS (<= 1%%)\n");
-      artifact->add("pool_put_get_ns", base * 1e9, "ns");
-      artifact->add("pool_put_get_disabled_obs_ns", with_obs * 1e9, "ns");
-      return true;
-    }
+  const long base_allocs = count_cycle_allocations(nullptr, kCycles);
+  const long obs_allocs = count_cycle_allocations(&disabled, kCycles);
+  const bool recorded_nothing =
+      disabled.metrics().empty() && disabled.trace().size() == 0;
+  std::printf(
+      "disabled-obs gate: %ld allocations without a listener, %ld with a "
+      "disabled session over %d cycles; session recorded %s\n",
+      base_allocs, obs_allocs, kCycles,
+      recorded_nothing ? "nothing" : "metrics or trace events");
+
+  const double base = best_cycle_time(nullptr, 200000, 5);
+  const double with_obs = best_cycle_time(&disabled, 200000, 5);
+  std::printf("disabled-obs timing (ungated): base %.1f ns/cycle, disabled "
+              "obs %.1f ns/cycle\n",
+              base * 1e9, with_obs * 1e9);
+  artifact->add("pool_put_get_ns", base * 1e9, "ns");
+  artifact->add("pool_put_get_disabled_obs_ns", with_obs * 1e9, "ns");
+
+  if (obs_allocs == base_allocs && recorded_nothing) {
+    std::printf("disabled-obs gate: PASS (no extra allocation, nothing "
+                "recorded)\n");
+    return true;
   }
-  std::printf("disabled-obs overhead gate: FAIL (> 1%% over baseline)\n");
+  std::printf("disabled-obs gate: FAIL\n");
   return false;
 }
 
@@ -369,7 +406,7 @@ double time_status_reads(const core::PoolStatus& source, int reads,
 
 /// The §5k hot-path contract: the const-ref PoolStatus read must never cost
 /// more than the per-decision copy it replaced (5% headroom for timer
-/// noise). Best-of-N with retries, like the disabled-obs gate.
+/// noise). Best-of-N with retries.
 bool check_pool_status_ref_overhead(exp::BenchArtifact* artifact) {
   constexpr int kReads = 100000;
   constexpr int kReps = 5;
@@ -752,7 +789,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   exp::BenchArtifact artifact;
-  const bool obs_ok = check_disabled_obs_overhead(&artifact);
+  const bool obs_ok = check_disabled_obs_allocations(&artifact);
   const bool ref_ok = check_pool_status_ref_overhead(&artifact);
   const bool store_ok = check_flat_record_store_speedup(&artifact);
   const bool walk_ok = check_flat_entry_walk_speedup(&artifact);

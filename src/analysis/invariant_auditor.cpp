@@ -1,16 +1,13 @@
 #include "analysis/invariant_auditor.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <unordered_map>
 
 #include "util/audit.h"
 
 namespace libra::analysis {
 
-using core::HarvestResourcePool;
 using sim::InvocationId;
-using sim::NodeId;
 using sim::Resources;
 
 namespace {
@@ -19,6 +16,12 @@ namespace {
 /// the ledgers are sums of O(thousands) of doubles.
 bool near(double a, double b) {
   return std::abs(a - b) <= 1e-6 + 1e-9 * std::max(std::abs(a), std::abs(b));
+}
+
+/// Present and not terminal. The engine's invocation_alive already means
+/// both; test doubles of EngineApi may model presence only.
+bool live(sim::EngineApi& api, InvocationId id) {
+  return api.invocation_alive(id) && !api.invocation(id).done;
 }
 
 }  // namespace
@@ -32,137 +35,43 @@ void InvariantAuditor::attach_policy(core::LibraPolicy* policy) {
   if (policy_) policy_->set_pool_listener(this);
 }
 
-void InvariantAuditor::check_pool_conservation(const HarvestResourcePool& pool,
-                                               const char* origin) const {
-  const auto st = pool.debug_state();
-  // Outstanding grants aggregated per source; every grant must trace back to
-  // a tracked source entry.
-  std::unordered_map<InvocationId, Resources> borrowed;
-  for (const auto& b : st.borrows) {
-    LIBRA_AUDIT_CHECK(b.amount.cpu >= 0.0 && b.amount.mem >= 0.0,
-                      origin << ": negative grant from source " << b.source
-                             << " to borrower " << b.borrower << " (cpu "
-                             << b.amount.cpu << ", mem " << b.amount.mem
-                             << ")");
-    borrowed[b.source] += b.amount;
-  }
-  std::unordered_map<InvocationId, const core::HarvestResourcePool::DebugEntry*>
-      by_source;
-  for (const auto& e : st.entries) by_source[e.source] = &e;
-  // LIBRA_LINT_ALLOW(unordered-iteration): audit-only sweep — every element gets the same order-independent check, and a violation aborts
-  for (const auto& [source, amount] : borrowed) {
-    LIBRA_AUDIT_CHECK(by_source.count(source) != 0,
-                      origin << ": outstanding grant references source "
-                             << source
-                             << " with no pool entry (completed or revoked)");
-  }
-  // Conservation law: per source, idle + lent-out == cumulative harvested.
-  for (const auto& e : st.entries) {
-    const Resources lent =
-        borrowed.count(e.source) ? borrowed[e.source] : Resources{};
-    LIBRA_AUDIT_CHECK(
-        near(e.idle.cpu + lent.cpu, e.harvested.cpu) &&
-            near(e.idle.mem + lent.mem, e.harvested.mem),
-        origin << ": conservation violated for source " << e.source
-               << ": idle (cpu " << e.idle.cpu << ", mem " << e.idle.mem
-               << ") + lent (cpu " << lent.cpu << ", mem " << lent.mem
-               << ") != harvested (cpu " << e.harvested.cpu << ", mem "
-               << e.harvested.mem << ")");
-  }
-}
-
-void InvariantAuditor::on_pool_event(const core::PoolEvent& ev) {
+void InvariantAuditor::on_pool_event(const core::PoolEvent&) {
   ++stats_.pool_events;
-  if (ev.pool) check_pool_conservation(*ev.pool, "pool-event");
 }
 
 void InvariantAuditor::on_engine_event(sim::EngineApi& api,
                                        const sim::EngineEvent& ev) {
   ++stats_.engine_events;
-  const bool sampled = ev.id % cfg_.every_n == 0;
-  if (std::strcmp(ev.what, "recycle") == 0)
-    check_recycle(api, ev.inv, sampled);
-  if (!sampled) return;
+  if (ev.id % cfg_.every_n != 0) return;
   ++stats_.sweeps;
   sweep(api, ev.what);
 }
 
-void InvariantAuditor::check_recycle(sim::EngineApi& api, InvocationId id,
-                                     bool sampled) {
-  ++stats_.recycle_checks;
-  // The engine notifies while the record is still in the map, after it
-  // disarmed the tracked events; epoch-guarded continuations that still hold
-  // the id resolve through the guarded lookup once it is extracted. A
-  // terminal record is present but no longer "alive" (alive = !done).
-  LIBRA_AUDIT_CHECK(!api.invocation_alive(id) && api.invocation(id).done,
-                    "recycle: invocation "
-                        << id << " is not a terminal record (still alive)");
-  if (!sampled) return;
-  for (const InvocationId p : api.placed_invocations()) {
-    LIBRA_AUDIT_CHECK(p != id, "recycle: invocation "
-                                   << id
-                                   << " still holds a node reservation");
-  }
-  // A recycled record must not leave a ghost contribution in the cluster's
-  // live-usage sums: every terminal path refreshes usage with stopping=true
-  // before the record is finalized.
-  LIBRA_AUDIT_CHECK(!api.invocation(id).usage_contrib_present,
-                    "recycle: invocation "
-                        << id
-                        << " still contributes to the cluster usage sums");
-  if (!policy_) return;
-  // Ascending node order by construction (flat pool table).
-  for (const auto& [node_id, pool] : policy_->pools_for_audit()) {
-    const auto st = pool->debug_state();
-    for (const auto& b : st.borrows) {
-      LIBRA_AUDIT_CHECK(b.source != id && b.borrower != id,
-                        "recycle: invocation "
-                            << id << " still referenced by a grant in pool of "
-                            << "node " << node_id << " (source " << b.source
-                            << ", borrower " << b.borrower << ")");
-    }
-    for (const auto& e : st.entries) {
-      LIBRA_AUDIT_CHECK(e.source != id,
-                        "recycle: invocation "
-                            << id << " still owns a pool entry on node "
-                            << node_id);
-    }
-  }
-  // Bookkeeping boundedness: the policy's per-invocation stash must have
-  // dropped this id on finalize (the pre-§5l leak kept raw predictions of
-  // lost invocations forever).
-  for (const InvocationId stashed : policy_->raw_pred_ids_for_audit()) {
-    LIBRA_AUDIT_CHECK(stashed != id,
-                      "recycle: invocation "
-                          << id
-                          << " still stashed in the policy's raw-prediction "
-                             "bookkeeping");
-  }
-}
-
-void InvariantAuditor::sweep(sim::EngineApi& api, const char* what) const {
+void InvariantAuditor::sweep(sim::EngineApi& api, const char* what) {
   // ---- Node accounting: allocated totals == sum of placed reservations ----
-  const auto placed = api.placed_invocations();
-  std::unordered_map<NodeId, Resources> reserved;
-  std::unordered_map<NodeId, int> placed_count;
-  for (const InvocationId id : placed) {
+  const auto& nodes = api.nodes();
+  tally_.assign(nodes.size(), NodeTally{});
+  for (const InvocationId id : api.placed_invocations()) {
     LIBRA_AUDIT_CHECK(api.invocation_alive(id),
                       "after " << what << ": placed invocation " << id
                                << " is not alive");
     const auto& inv = api.invocation(id);
     LIBRA_AUDIT_CHECK(!inv.done, "after " << what << ": placed invocation "
                                           << id << " already completed");
-    LIBRA_AUDIT_CHECK(
-        inv.node != sim::kNoNode &&
-            static_cast<size_t>(inv.node) < api.nodes().size(),
-        "after " << what << ": placed invocation " << id
-                 << " references invalid node " << inv.node);
-    reserved[inv.node] += inv.user_alloc + inv.probe_extra;
-    ++placed_count[inv.node];
+    const bool on_node = inv.node != sim::kNoNode &&
+                         static_cast<size_t>(inv.node) < nodes.size();
+    LIBRA_AUDIT_CHECK(on_node, "after " << what << ": placed invocation "
+                                        << id << " references invalid node "
+                                        << inv.node);
+    // A test failure handler does not abort: never index past the range.
+    if (!on_node) continue;
+    NodeTally& t = tally_[static_cast<size_t>(inv.node)];
+    t.reserved += inv.user_alloc + inv.probe_extra;
+    ++t.placed;
   }
-  for (const auto& node : api.nodes()) {
-    const auto it = reserved.find(node.id());
-    const Resources want = it != reserved.end() ? it->second : Resources{};
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const auto& node = nodes[i];
+    const Resources want = tally_[i].reserved;
     LIBRA_AUDIT_CHECK(
         near(node.allocated().cpu, want.cpu) &&
             near(node.allocated().mem, want.mem),
@@ -170,9 +79,7 @@ void InvariantAuditor::sweep(sim::EngineApi& api, const char* what) const {
                  << " allocated totals (cpu " << node.allocated().cpu
                  << ", mem " << node.allocated().mem
                  << ") != sum of placed reservations (cpu " << want.cpu
-                 << ", mem " << want.mem << ") over "
-                 << (placed_count.count(node.id()) ? placed_count.at(node.id())
-                                                   : 0)
+                 << ", mem " << want.mem << ") over " << tally_[i].placed
                  << " invocations");
     if (!node.up()) {
       LIBRA_AUDIT_CHECK(want.is_zero() && node.running_invocations() == 0,
@@ -196,45 +103,50 @@ void InvariantAuditor::sweep(sim::EngineApi& api, const char* what) const {
                                   "must stay bounded by the live set");
   }
 
-  // ---- Pool sweeps: conservation + grant liveness + down-node emptiness ----
+  // ---- Pool sweeps: source/grant liveness, quarantine, down-node emptiness.
+  // Per-source conservation is the pool's own audit_now. ----
+  const auto* trust = policy_->trust_manager();
   // Ascending node order by construction (flat pool table).
   for (const auto& [node_id, pool] : policy_->pools_for_audit()) {
-    check_pool_conservation(*pool, what);
     const auto st = pool->debug_state();
     for (const auto& b : st.borrows) {
       LIBRA_AUDIT_CHECK(
-          api.invocation_alive(b.source) && !api.invocation(b.source).done,
+          live(api, b.source),
           "after " << what << ": pool of node " << node_id
                    << " holds a grant sourced from invocation " << b.source
                    << " which is completed or gone (borrower " << b.borrower
                    << ")");
       LIBRA_AUDIT_CHECK(
-          api.invocation_alive(b.borrower) &&
-              !api.invocation(b.borrower).done,
+          live(api, b.borrower),
           "after " << what << ": pool of node " << node_id
                    << " holds a grant lent to invocation " << b.borrower
                    << " which is completed or gone (source " << b.source
                    << ")");
     }
-    // Quarantine invariant (trust circuit breaker): a function demoted to
-    // the OPEN tier must have had every harvest sourced from its running
-    // invocations pulled back — the pool holds nothing it contributed.
-    if (const auto* trust = policy_->trust_manager()) {
-      for (const auto& e : st.entries) {
-        if (!api.invocation_alive(e.source)) continue;
-        const auto func = api.invocation(e.source).func;
-        LIBRA_AUDIT_CHECK(
-            !trust->quarantined(func, api.now()),
-            "after " << what << ": pool of node " << node_id
-                     << " holds an entry sourced from invocation " << e.source
-                     << " of QUARANTINED function " << func
-                     << " (idle cpu " << e.idle.cpu << ", mem " << e.idle.mem
-                     << ") — quarantined functions must never be harvest "
-                        "sources");
-      }
+    for (const auto& e : st.entries) {
+      const bool source_live = live(api, e.source);
+      LIBRA_AUDIT_CHECK(source_live,
+                        "after " << what << ": pool of node " << node_id
+                                 << " holds an entry sourced from invocation "
+                                 << e.source << " which is completed or gone"
+                                 << " (idle cpu " << e.idle.cpu << ", mem "
+                                 << e.idle.mem << ")");
+      // Quarantine invariant (trust circuit breaker): a function demoted to
+      // the OPEN tier must have had every harvest sourced from its running
+      // invocations pulled back — the pool holds nothing it contributed.
+      if (!source_live || trust == nullptr) continue;
+      const auto func = api.invocation(e.source).func;
+      LIBRA_AUDIT_CHECK(
+          !trust->quarantined(func, api.now()),
+          "after " << what << ": pool of node " << node_id
+                   << " holds an entry sourced from invocation " << e.source
+                   << " of QUARANTINED function " << func << " (idle cpu "
+                   << e.idle.cpu << ", mem " << e.idle.mem
+                   << ") — quarantined functions must never be harvest "
+                      "sources");
     }
-    if (static_cast<size_t>(node_id) < api.nodes().size() &&
-        !api.nodes()[static_cast<size_t>(node_id)].up()) {
+    if (static_cast<size_t>(node_id) < nodes.size() &&
+        !nodes[static_cast<size_t>(node_id)].up()) {
       LIBRA_AUDIT_CHECK(st.entries.empty() && st.borrows.empty(),
                         "after " << what << ": pool of DOWN node " << node_id
                                  << " is not empty (" << st.entries.size()

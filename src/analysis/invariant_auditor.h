@@ -1,23 +1,30 @@
 // Cross-layer invariant auditor (dynamic prong of the concurrency-correctness
-// analysis layer). Observes the simulation through two seams and re-derives
-// the conservation laws the rest of the code is supposed to uphold:
+// analysis layer). Each invariant is checked in exactly one place:
 //
-//   core::PoolEventListener — after every harvest-pool mutation, re-checks
-//   per-source conservation (idle + outstanding grants == harvested volume)
-//   from a consistent DebugState snapshot.
+//   pool-local laws (per-source conservation, grant bounds, tenant quotas)
+//   live in HarvestResourcePool::audit_now, which every pool mutation ends
+//   with; record-local laws (a recycled record is terminal, disarmed and
+//   out of the usage sums) live in Engine::drain_recycle. This auditor keeps
+//   no second copy of either.
 //
 //   sim::EngineAuditHook — after every dispatched engine event (sampled via
-//   every_n for large traces), sweeps the whole cluster: every placed
-//   invocation is alive and references a real node; each node's allocated
-//   totals equal the sum of its placed invocations' reservations
-//   (user_alloc + probe_extra); no pool grant references a completed source
-//   or a borrower that is gone; a down node's pool is empty; no pool entry
-//   is sourced from a function the trust circuit breaker has quarantined.
+//   every_n for large traces), sweeps what spans the engine's records, nodes
+//   and pools: every placed invocation is alive and references a real node;
+//   each node's allocated totals equal the sum of its placed invocations'
+//   reservations (user_alloc + probe_extra); every pool entry's source is
+//   alive; no pool grant references a finished source or borrower; a down
+//   node's pool is empty; no pool entry is sourced from a function the trust
+//   circuit breaker has quarantined; every stashed raw prediction belongs to
+//   a live invocation.
+//
+//   core::PoolEventListener — counts pool mutations (the pool audits itself).
 //
 // A violation aborts through LIBRA_AUDIT_CHECK with a structured diagnostic
 // carrying the engine event id and sim time (stamped by Engine::notify_audit
 // before this hook runs), unless a test installed a failure handler.
 #pragma once
+
+#include <vector>
 
 #include "core/libra_policy.h"
 #include "core/pool_event.h"
@@ -27,8 +34,8 @@
 namespace libra::analysis {
 
 struct InvariantAuditorConfig {
-  /// Full cluster sweeps run on every n-th engine event (1 = every event).
-  /// Pool-mutation conservation checks always run regardless.
+  /// Cluster sweeps run on every n-th engine event (1 = every event). The
+  /// pool's and the engine's own checks run on every mutation regardless.
   int every_n = 1;
 };
 
@@ -38,7 +45,7 @@ class InvariantAuditor final : public core::PoolEventListener,
   explicit InvariantAuditor(InvariantAuditorConfig cfg = {});
 
   /// Attaches this auditor to the policy's pools (current and future) so
-  /// pool mutations are observed. Also remembered for cluster sweeps; may be
+  /// pool mutations are counted. Also remembered for cluster sweeps; may be
   /// nullptr when only engine-side checks are wanted.
   void attach_policy(core::LibraPolicy* policy);
 
@@ -53,24 +60,23 @@ class InvariantAuditor final : public core::PoolEventListener,
     long pool_events = 0;    // pool mutations observed
     long engine_events = 0;  // engine events observed
     long sweeps = 0;         // full cluster sweeps actually run
-    long recycle_checks = 0; // recycle events audited
   };
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Per-source conservation from one consistent snapshot.
-  void check_pool_conservation(const core::HarvestResourcePool& pool,
-                               const char* origin) const;
-  void sweep(sim::EngineApi& api, const char* what) const;
-  /// Recycle-safety check (streaming runs): a record about to be returned to
-  /// the engine's free list must be terminal and unreferenced — not placed,
-  /// not a pool source or borrower. The terminal check runs on every recycle
-  /// event; the reference scans follow the every_n sampling like sweeps.
-  void check_recycle(sim::EngineApi& api, sim::InvocationId id, bool sampled);
+  void sweep(sim::EngineApi& api, const char* what);
+
+  struct NodeTally {
+    sim::Resources reserved;  // Σ user_alloc + probe_extra of placed ids
+    int placed = 0;
+  };
 
   InvariantAuditorConfig cfg_;
   core::LibraPolicy* policy_ = nullptr;
   Stats stats_;
+  /// Indexed by node id; reused across sweeps so the node accounting
+  /// allocates nothing once warm.
+  std::vector<NodeTally> tally_;
 };
 
 }  // namespace libra::analysis

@@ -146,7 +146,7 @@ void HarvestResourcePool::audit_now(SimTime now) const {
   for (int32_t idx = borrow_head_; idx != -1;
        idx = borrow_slab_[static_cast<size_t>(idx)].next_order) {
     const BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
-    LIBRA_AUDIT_CHECK(r.amount.cpu >= -1e-9 && r.amount.mem >= -1e-9,
+    LIBRA_AUDIT_CHECK(r.amount.cpu >= 0.0 && r.amount.mem >= 0.0,
                       "negative borrow amount: source=" << r.source
                           << " borrower=" << r.borrower << " amount="
                           << r.amount.to_string() << " now=" << now);

@@ -18,11 +18,13 @@
 // The pool also keeps the idle-resource-time integrals (resource volume x
 // time spent idle in the pool) that Fig. 10(b)/(c) report.
 //
-// Correctness machinery: every mutating operation ends with an internal
-// conservation audit (idle + outstanding grants == volume harvested per
-// source, LIBRA_AUDIT_CHECK-enforced in all build types) and fires a
-// PoolEvent so the cross-layer invariant auditor (src/analysis) can
-// run its own checks against debug_state().
+// Correctness machinery: every mutating operation ends with audit_now, the
+// one check of the pool-local laws (idle + outstanding grants == volume
+// harvested per source, non-negative idle and grants, grant expiry within
+// its source's, tenant quotas; LIBRA_AUDIT_CHECK-enforced in all build
+// types), then fires a PoolEvent. The cross-layer invariant auditor
+// (src/analysis) reads debug_state() only for what spans the engine's
+// records and nodes (source/borrower liveness, down-node emptiness).
 #pragma once
 
 #include <cstdint>

@@ -27,7 +27,8 @@ sim::EngineConfig multi_node_config(int num_shards = 2);
 /// requested number of decentralized scheduler shards (§8.5).
 sim::EngineConfig jetstream_config(int nodes, int num_shards);
 
-/// Runs one experiment to completion.
+/// Runs one experiment to completion. Both vector overloads wrap the trace
+/// in a workload::MaterializedSource and take the streaming overload below.
 sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
                                std::shared_ptr<sim::Policy> policy,
                                std::vector<sim::Invocation> trace);
@@ -46,9 +47,7 @@ sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
 /// Streaming variant: pulls the workload incrementally from a TraceSource
 /// (gen::SyntheticSource, workload::MaterializedSource, ...) instead of a
 /// pre-built invocation vector, so the trace never has to exist in memory
-/// all at once. Auditor sampling keys off source.size_hint(); everything
-/// else (auditor / obs wiring) matches the materialized overloads, and a
-/// MaterializedSource over the same trace yields bit-identical RunMetrics.
+/// all at once. Auditor sampling keys off source.size_hint().
 sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
                                std::shared_ptr<sim::Policy> policy,
                                gen::TraceSource& source,

@@ -144,6 +144,12 @@ void Engine::drain_recycle() {
                           inv.monitor_event == kInvalidEvent,
                       "recycling invocation " << inv.id
                                               << " with armed events");
+    // No ghost contribution in the cluster's live-usage sums: every
+    // terminal path refreshes usage with stopping=true before finalizing.
+    LIBRA_AUDIT_CHECK(!inv.usage_contrib_present,
+                      "recycling invocation "
+                          << inv.id
+                          << " that still contributes to the usage sums");
     notify_audit("recycle", id);
     invocations_.erase(id);
   }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/invariant_auditor.h"
+#include "audit_test_support.h"
 #include "core/harvest_pool.h"
 #include "core/libra_policy.h"
 #include "core/profiler.h"
@@ -17,6 +18,7 @@
 #include "sim/engine.h"
 #include "sim/node.h"
 #include "util/audit.h"
+#include "util/rng.h"
 #include "workload/function_catalog.h"
 #include "workload/trace.h"
 
@@ -24,26 +26,8 @@ namespace libra {
 namespace {
 
 using sim::Resources;
-
-/// Scoped failure handler: collects diagnostics instead of aborting, and
-/// restores the previous handler (normally "abort") on destruction.
-class AuditCapture {
- public:
-  AuditCapture() {
-    prev_ = util::audit::set_failure_handler(
-        [this](const util::audit::Diagnostic& d) { diags_.push_back(d); });
-  }
-  ~AuditCapture() { util::audit::set_failure_handler(std::move(prev_)); }
-  AuditCapture(const AuditCapture&) = delete;
-  AuditCapture& operator=(const AuditCapture&) = delete;
-
-  const std::vector<util::audit::Diagnostic>& diags() const { return diags_; }
-  bool fired() const { return !diags_.empty(); }
-
- private:
-  util::audit::FailureHandler prev_;
-  std::vector<util::audit::Diagnostic> diags_;
-};
+using test_support::AuditCapture;
+using test_support::FakeApi;
 
 std::shared_ptr<const sim::FunctionCatalog> catalog() {
   static auto cat =
@@ -51,12 +35,13 @@ std::shared_ptr<const sim::FunctionCatalog> catalog() {
   return cat;
 }
 
-std::shared_ptr<core::LibraPolicy> make_libra_policy() {
+std::shared_ptr<core::LibraPolicy> make_libra_policy(bool trust = false) {
   core::ProfilerConfig pcfg;
   auto profiler = std::make_shared<core::Profiler>(pcfg, catalog());
   profiler->prewarm(*catalog(), 1234, 30);
-  return core::LibraPolicy::with_coverage_scheduler(core::LibraPolicyConfig{},
-                                                    profiler);
+  core::LibraPolicyConfig cfg;
+  cfg.trust_enabled = trust;
+  return core::LibraPolicy::with_coverage_scheduler(cfg, profiler);
 }
 
 // ---------------------------------------------------------------------------
@@ -151,6 +136,18 @@ TEST(AuditNegative, SeededViolationCaughtByNextMutation) {
   EXPECT_TRUE(capture.fired());
 }
 
+TEST(AuditNegative, TinyNegativeGrantFiresOnAuditNow) {
+  core::HarvestResourcePool pool;
+  pool.put(1, {2.0, 256.0}, 10.0, 0.0);
+  // A grant of -1e-12 cpu, with the harvested ledger moved in lockstep so
+  // conservation holds: only the grant bound (>= 0, no tolerance) sees it.
+  pool.corrupt_tenant_for_audit_test(/*source=*/1, /*borrower=*/2,
+                                     /*tenant=*/0, {-1e-12, 0.0});
+  AuditCapture capture;
+  pool.audit_now(1.0);
+  EXPECT_TRUE(capture.fired_with("negative borrow amount"));
+}
+
 TEST(AuditNegative, HealthyPoolNeverFires) {
   core::HarvestResourcePool pool;
   AuditCapture capture;
@@ -160,6 +157,130 @@ TEST(AuditNegative, HealthyPoolNeverFires) {
   pool.preempt_source(1, 2.0);
   pool.audit_now(3.0);
   EXPECT_FALSE(capture.fired());
+}
+
+// ---------------------------------------------------------------------------
+// Negative tests: seeded cross-layer violations must fire in the sweep
+// ---------------------------------------------------------------------------
+
+/// One auditor sweep over `api`, as after a dispatched engine event.
+void sweep(analysis::InvariantAuditor& auditor, sim::EngineApi& api) {
+  auditor.on_engine_event(api, sim::EngineEvent{"test", 0});
+}
+
+/// A policy whose node-0 pool holds one entry sourced from invocation 1 and
+/// one grant lent to invocation 2, both alive in `api`.
+std::shared_ptr<core::LibraPolicy> lend_one_grant(
+    analysis::InvariantAuditor& auditor, FakeApi& api) {
+  auto policy = make_libra_policy();
+  auditor.attach_policy(policy.get());
+  api.add_invocation(1, /*func=*/0);
+  api.add_invocation(2, /*func=*/0);
+  policy->pool(0).put(1, {2.0, 256.0}, 100.0, 0.0);
+  EXPECT_FALSE(policy->pool(0).get({1.0, 128.0}, 2, 0.5).empty());
+  AuditCapture healthy;
+  sweep(auditor, api);
+  EXPECT_FALSE(healthy.fired());
+  return policy;
+}
+
+TEST(AuditNegative, SweepGrantFromFinishedSourceFires) {
+  analysis::InvariantAuditor auditor;
+  FakeApi api;
+  const auto policy = lend_one_grant(auditor, api);
+  api.invocation(1).done = true;  // finished without preempt_source
+  AuditCapture capture;
+  sweep(auditor, api);
+  EXPECT_TRUE(capture.fired_with("grant sourced from invocation 1"));
+}
+
+TEST(AuditNegative, SweepGrantToFinishedBorrowerFires) {
+  analysis::InvariantAuditor auditor;
+  FakeApi api;
+  const auto policy = lend_one_grant(auditor, api);
+  api.invocation(2).done = true;  // finished without reharvest
+  AuditCapture capture;
+  sweep(auditor, api);
+  EXPECT_TRUE(capture.fired_with("grant lent to invocation 2"));
+}
+
+TEST(AuditNegative, SweepPoolEntryFromFinishedSourceFires) {
+  analysis::InvariantAuditor auditor;
+  auto policy = make_libra_policy();
+  auditor.attach_policy(policy.get());
+  FakeApi api;
+  api.add_invocation(1, /*func=*/0);
+  policy->pool(0).put(1, {2.0, 256.0}, 100.0, 0.0);
+  {
+    AuditCapture healthy;
+    sweep(auditor, api);
+    EXPECT_FALSE(healthy.fired());
+  }
+  // No grant references the source, so only the entry-liveness check can
+  // see that its idle volume outlived the invocation.
+  api.invocation(1).done = true;
+  AuditCapture capture;
+  sweep(auditor, api);
+  EXPECT_TRUE(capture.fired_with("entry sourced from invocation 1"));
+}
+
+TEST(AuditNegative, SweepNonEmptyPoolOnDownNodeFires) {
+  analysis::InvariantAuditor auditor;
+  FakeApi api;
+  const auto policy = lend_one_grant(auditor, api);
+  api.node(0).set_up(false);  // crashed without preempt_all
+  AuditCapture capture;
+  sweep(auditor, api);
+  EXPECT_TRUE(capture.fired_with("pool of DOWN node 0 is not empty"));
+}
+
+TEST(AuditNegative, SweepStashedPredictionForDeadIdFires) {
+  analysis::InvariantAuditor auditor;
+  auto policy = make_libra_policy(/*trust=*/true);
+  auditor.attach_policy(policy.get());
+  FakeApi api;
+  util::Rng rng(3);
+  auto inv = workload::make_invocation(
+      *catalog(), 9, 0, catalog()->at(0).sample_input(rng), 1.0);
+  api.add_invocation(9, 0);
+  policy->predict(inv);  // trust on: the raw prediction is stashed
+  {
+    AuditCapture healthy;
+    sweep(auditor, api);
+    EXPECT_FALSE(healthy.fired());
+  }
+  FakeApi without_nine;  // invocation 9 is gone, its stash entry is not
+  AuditCapture capture;
+  sweep(auditor, without_nine);
+  EXPECT_TRUE(capture.fired_with("raw-prediction stash holds invocation 9"));
+}
+
+TEST(AuditNegative, SweepNodeAllocatedMismatchFires) {
+  analysis::InvariantAuditor auditor;  // no policy: node accounting only
+  FakeApi api;
+  api.add_invocation(1, /*func=*/0);
+  api.place(1, {2.0, 512.0});
+  ASSERT_TRUE(api.node(0).try_reserve(0, {2.0, 512.0}));
+  {
+    AuditCapture healthy;
+    sweep(auditor, api);
+    EXPECT_FALSE(healthy.fired());
+  }
+  ASSERT_TRUE(api.node(0).try_reserve(0, {1.0, 128.0}));  // nobody's
+  AuditCapture capture;
+  sweep(auditor, api);
+  EXPECT_TRUE(capture.fired_with("node 0 allocated totals"));
+}
+
+TEST(AuditNegative, SweepPlacedOnInvalidNodeFires) {
+  analysis::InvariantAuditor auditor;
+  FakeApi api;
+  api.add_invocation(1, /*func=*/0);
+  api.place(1, {2.0, 512.0});
+  api.invocation(1).node = 7;  // the fake cluster has node 0 only
+  AuditCapture capture;
+  sweep(auditor, api);  // reports, and must not index node 7's tally
+  EXPECT_TRUE(capture.fired_with("references invalid node 7"));
 }
 
 // ---------------------------------------------------------------------------

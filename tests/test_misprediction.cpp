@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "analysis/invariant_auditor.h"
+#include "audit_test_support.h"
 #include "baselines/schedulers.h"
 #include "core/libra_policy.h"
 #include "core/predictor_fault.h"
@@ -35,6 +36,8 @@ using sim::fault::kAllFunctions;
 using sim::fault::kNever;
 using sim::fault::PredFaultKind;
 using sim::fault::PredictionFault;
+using test_support::AuditCapture;
+using test_support::FakeApi;
 
 std::shared_ptr<const sim::FunctionCatalog> catalog() {
   static auto cat = std::make_shared<const sim::FunctionCatalog>(
@@ -495,58 +498,6 @@ TEST(TrustEndToEnd, QuarantinedFunctionServedPaddedWithoutHarvest) {
 }
 
 // ---------------- Quarantine invariant (auditor negative test) ----------
-
-class AuditCapture {
- public:
-  AuditCapture() {
-    prev_ = util::audit::set_failure_handler(
-        [this](const util::audit::Diagnostic& d) { diags_.push_back(d); });
-  }
-  ~AuditCapture() { util::audit::set_failure_handler(std::move(prev_)); }
-  AuditCapture(const AuditCapture&) = delete;
-  AuditCapture& operator=(const AuditCapture&) = delete;
-  const std::vector<util::audit::Diagnostic>& diags() const { return diags_; }
-  bool fired() const { return !diags_.empty(); }
-
- private:
-  util::audit::FailureHandler prev_;
-  std::vector<util::audit::Diagnostic> diags_;
-};
-
-/// Minimal EngineApi for driving auditor sweeps without an engine run: one
-/// quiescent node and a handful of live (unplaced) invocations.
-class FakeApi final : public sim::EngineApi {
- public:
-  FakeApi() { nodes_.emplace_back(0, Resources{32.0, 32768.0}, 1); }
-  sim::SimTime now() const override { return 50.0; }
-  const std::vector<sim::Node>& nodes() const override { return nodes_; }
-  sim::Node& node(sim::NodeId id) override {
-    return nodes_.at(static_cast<size_t>(id));
-  }
-  Invocation& invocation(sim::InvocationId id) override {
-    return invocations_.at(id);
-  }
-  bool invocation_alive(sim::InvocationId id) const override {
-    return invocations_.count(id) != 0;
-  }
-  const sim::ExecutionModel& exec_model() const override { return exec_; }
-  void update_effective(sim::InvocationId, const Resources&) override {}
-  void sync_accounting(sim::InvocationId) override {}
-  Resources observed_usage(sim::InvocationId) const override { return {}; }
-  Resources observed_peak(sim::InvocationId) const override { return {}; }
-
-  void add_invocation(sim::InvocationId id, sim::FunctionId func) {
-    Invocation inv;
-    inv.id = id;
-    inv.func = func;
-    invocations_[id] = inv;
-  }
-
- private:
-  std::vector<sim::Node> nodes_;
-  std::unordered_map<sim::InvocationId, Invocation> invocations_;
-  sim::ExecutionModel exec_;
-};
 
 TEST(QuarantineInvariant, PoolEntryFromQuarantinedFunctionFires) {
   core::LibraPolicyConfig cfg;
