@@ -51,7 +51,8 @@ void InvariantAuditor::sweep(sim::EngineApi& api, const char* what) {
   // ---- Node accounting: allocated totals == sum of placed reservations ----
   const auto& nodes = api.nodes();
   tally_.assign(nodes.size(), NodeTally{});
-  for (const InvocationId id : api.placed_invocations()) {
+  api.placed_invocations(&ids_);
+  for (const InvocationId id : ids_) {
     LIBRA_AUDIT_CHECK(api.invocation_alive(id),
                       "after " << what << ": placed invocation " << id
                                << " is not alive");
@@ -95,7 +96,8 @@ void InvariantAuditor::sweep(sim::EngineApi& api, const char* what) {
   // ---- Bookkeeping boundedness: every stashed raw prediction must belong
   // to a live invocation (terminal records drop theirs via on_finalized), so
   // the stash can never outgrow the live set. ----
-  for (const InvocationId stashed : policy_->raw_pred_ids_for_audit()) {
+  policy_->raw_pred_ids_for_audit(&ids_);
+  for (const InvocationId stashed : ids_) {
     LIBRA_AUDIT_CHECK(api.invocation_alive(stashed),
                       "after " << what << ": policy raw-prediction stash holds "
                                << "invocation " << stashed
@@ -106,55 +108,54 @@ void InvariantAuditor::sweep(sim::EngineApi& api, const char* what) {
   // ---- Pool sweeps: source/grant liveness, quarantine, down-node emptiness.
   // Per-source conservation is the pool's own audit_now. ----
   const auto* trust = policy_->trust_manager();
-  // Ascending node order by construction (flat pool table).
-  for (const auto& [node_id, pool] : policy_->pools_for_audit()) {
-    const auto st = pool->debug_state();
-    for (const auto& b : st.borrows) {
+  policy_->for_each_pool([&](sim::NodeId node_id,
+                             const core::HarvestResourcePool& pool) {
+    pool.for_each_grant([&](InvocationId source, InvocationId borrower) {
       LIBRA_AUDIT_CHECK(
-          live(api, b.source),
+          live(api, source),
           "after " << what << ": pool of node " << node_id
-                   << " holds a grant sourced from invocation " << b.source
-                   << " which is completed or gone (borrower " << b.borrower
+                   << " holds a grant sourced from invocation " << source
+                   << " which is completed or gone (borrower " << borrower
                    << ")");
       LIBRA_AUDIT_CHECK(
-          live(api, b.borrower),
+          live(api, borrower),
           "after " << what << ": pool of node " << node_id
-                   << " holds a grant lent to invocation " << b.borrower
-                   << " which is completed or gone (source " << b.source
+                   << " holds a grant lent to invocation " << borrower
+                   << " which is completed or gone (source " << source
                    << ")");
-    }
-    for (const auto& e : st.entries) {
-      const bool source_live = live(api, e.source);
+    });
+    pool.for_each_entry([&](InvocationId source, const Resources& idle) {
+      const bool source_live = live(api, source);
       LIBRA_AUDIT_CHECK(source_live,
                         "after " << what << ": pool of node " << node_id
                                  << " holds an entry sourced from invocation "
-                                 << e.source << " which is completed or gone"
-                                 << " (idle cpu " << e.idle.cpu << ", mem "
-                                 << e.idle.mem << ")");
+                                 << source << " which is completed or gone"
+                                 << " (idle cpu " << idle.cpu << ", mem "
+                                 << idle.mem << ")");
       // Quarantine invariant (trust circuit breaker): a function demoted to
       // the OPEN tier must have had every harvest sourced from its running
       // invocations pulled back — the pool holds nothing it contributed.
-      if (!source_live || trust == nullptr) continue;
-      const auto func = api.invocation(e.source).func;
+      if (!source_live || trust == nullptr) return;
+      const auto func = api.invocation(source).func;
       LIBRA_AUDIT_CHECK(
           !trust->quarantined(func, api.now()),
           "after " << what << ": pool of node " << node_id
-                   << " holds an entry sourced from invocation " << e.source
+                   << " holds an entry sourced from invocation " << source
                    << " of QUARANTINED function " << func << " (idle cpu "
-                   << e.idle.cpu << ", mem " << e.idle.mem
+                   << idle.cpu << ", mem " << idle.mem
                    << ") — quarantined functions must never be harvest "
                       "sources");
-    }
+    });
     if (static_cast<size_t>(node_id) < nodes.size() &&
         !nodes[static_cast<size_t>(node_id)].up()) {
-      LIBRA_AUDIT_CHECK(st.entries.empty() && st.borrows.empty(),
-                        "after " << what << ": pool of DOWN node " << node_id
-                                 << " is not empty (" << st.entries.size()
-                                 << " entries, " << st.borrows.size()
-                                 << " grants) — harvested inventory must die "
-                                    "with its node");
+      LIBRA_AUDIT_CHECK(
+          pool.entry_count() == 0 && pool.outstanding_borrows() == 0,
+          "after " << what << ": pool of DOWN node " << node_id
+                   << " is not empty (" << pool.entry_count() << " entries, "
+                   << pool.outstanding_borrows()
+                   << " grants) — harvested inventory must die with its node");
     }
-  }
+  });
 }
 
 }  // namespace libra::analysis

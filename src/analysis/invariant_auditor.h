@@ -74,9 +74,11 @@ class InvariantAuditor final : public core::PoolEventListener,
   InvariantAuditorConfig cfg_;
   core::LibraPolicy* policy_ = nullptr;
   Stats stats_;
-  /// Indexed by node id; reused across sweeps so the node accounting
-  /// allocates nothing once warm.
+  /// Sweep buffers, cleared and refilled by every sweep so a warm sweep
+  /// allocates nothing: the node tallies (indexed by node id) and the id
+  /// lists read from the engine and the policy.
   std::vector<NodeTally> tally_;
+  std::vector<sim::InvocationId> ids_;
 };
 
 }  // namespace libra::analysis

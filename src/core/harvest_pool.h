@@ -23,8 +23,9 @@
 // harvested per source, non-negative idle and grants, grant expiry within
 // its source's, tenant quotas; LIBRA_AUDIT_CHECK-enforced in all build
 // types), then fires a PoolEvent. The cross-layer invariant auditor
-// (src/analysis) reads debug_state() only for what spans the engine's
-// records and nodes (source/borrower liveness, down-node emptiness).
+// (src/analysis) reads the pool through for_each_entry / for_each_grant
+// only for what spans the engine's records and nodes (source/borrower
+// liveness, down-node emptiness).
 #pragma once
 
 #include <cstdint>
@@ -151,6 +152,22 @@ class HarvestResourcePool {
     long clock_regressions = 0;
   };
   DebugState debug_state() const;
+
+  /// Allocation-free reads for the invariant auditor's per-event sweep, in
+  /// debug_state()'s orders: f(source, idle) per entry in ascending source
+  /// order, f(source, borrower) per grant in insertion order.
+  template <typename F>
+  void for_each_entry(F&& f) const {
+    for (const Entry& e : entries_) f(e.source, e.idle);
+  }
+  template <typename F>
+  void for_each_grant(F&& f) const {
+    for (int32_t idx = borrow_head_; idx != -1;
+         idx = borrow_slab_[static_cast<size_t>(idx)].next_order) {
+      const BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
+      f(r.source, r.borrower);
+    }
+  }
 
   /// The internal conservation + ordering audit every mutating operation
   /// ends with; callable on demand. Aborts via LIBRA_AUDIT_CHECK on

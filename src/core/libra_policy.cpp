@@ -488,8 +488,8 @@ void LibraPolicy::enforce_quarantine(sim::FunctionId func, EngineApi& api) {
   // harvests back (idle pool volume and grants lent to borrowers), restoring
   // the full user allocation — the pool must hold nothing sourced from a
   // quarantined function (checked by the invariant auditor).
-  auto ids = api.placed_invocations();
-  std::sort(ids.begin(), ids.end());
+  std::vector<sim::InvocationId> ids;  // ascending id order
+  api.placed_invocations(&ids);
   for (const auto id : ids) {
     if (!api.invocation_alive(id)) continue;
     Invocation& other = api.invocation(id);
@@ -609,23 +609,12 @@ sim::PolicyStats LibraPolicy::stats() const {
   return out;
 }
 
-std::vector<std::pair<sim::NodeId, const HarvestResourcePool*>>
-LibraPolicy::pools_for_audit() const {
-  std::vector<std::pair<sim::NodeId, const HarvestResourcePool*>> out;
-  out.reserve(pools_.size());
-  for (size_t i = 0; i < pools_.size(); ++i)
-    if (pools_[i])
-      out.emplace_back(static_cast<sim::NodeId>(i), pools_[i].get());
-  return out;  // index order == ascending node order
-}
-
-std::vector<sim::InvocationId> LibraPolicy::raw_pred_ids_for_audit() const {
-  std::vector<sim::InvocationId> out;
-  out.reserve(raw_pred_.size());
+void LibraPolicy::raw_pred_ids_for_audit(
+    std::vector<sim::InvocationId>* out) const {
+  out->clear();
   // LIBRA_LINT_ALLOW(unordered-iteration): collects keys into a vector that is sorted on the next line
-  for (const auto& [id, pred] : raw_pred_) out.push_back(id);
-  std::sort(out.begin(), out.end());
-  return out;
+  for (const auto& [id, pred] : raw_pred_) out->push_back(id);
+  std::sort(out->begin(), out->end());
 }
 
 }  // namespace libra::core

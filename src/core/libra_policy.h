@@ -142,15 +142,19 @@ class LibraPolicy final : public sim::Policy, public PoolStatusProvider {
   }
 
   /// Read-only pool enumeration for the invariant auditor's cross-layer
-  /// sweeps (grant liveness, down-node emptiness), in ascending node order —
-  /// auditors iterate it directly, no sort-before-use dance.
-  std::vector<std::pair<sim::NodeId, const HarvestResourcePool*>>
-  pools_for_audit() const;
+  /// sweeps (grant liveness, down-node emptiness): f(node, pool) for every
+  /// node that has a pool, in ascending node order.
+  template <typename F>
+  void for_each_pool(F&& f) const {
+    for (size_t i = 0; i < pools_.size(); ++i)
+      if (pools_[i]) f(static_cast<sim::NodeId>(i), *pools_[i]);
+  }
 
-  /// Invocation ids currently stashed in the raw-prediction bookkeeping, in
-  /// ascending order. The invariant auditor asserts each one is still alive —
-  /// the boundedness check that caught the pre-§5l leak on loss paths.
-  std::vector<sim::InvocationId> raw_pred_ids_for_audit() const;
+  /// Replaces `out` with the invocation ids currently stashed in the
+  /// raw-prediction bookkeeping, in ascending order. The invariant auditor
+  /// asserts each one is still alive — the boundedness check that caught
+  /// the pre-§5l leak on loss paths.
+  void raw_pred_ids_for_audit(std::vector<sim::InvocationId>* out) const;
 
  private:
   /// Predicted execution time if the invocation runs with `alloc`.
@@ -184,7 +188,7 @@ class LibraPolicy final : public sim::Policy, public PoolStatusProvider {
   PoolEventListener* pool_listener_ = nullptr;
   PolicyEventListener* policy_listener_ = nullptr;
   /// Per-node harvest pools, indexed by node id (§5l flat layout). Pools are
-  /// created lazily and PoolEvent::pool / pools_for_audit() hand out their
+  /// created lazily and PoolEvent::pool / for_each_pool() hand out their
   /// addresses, hence the unique_ptr slots: a pool never moves. Index order
   /// IS ascending node order, so every iteration below is deterministic
   /// without a sort.

@@ -1,29 +1,26 @@
 #include "ml/forest.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
+
+#include "util/rng.h"
 
 namespace libra::ml {
 namespace {
 
-std::vector<size_t> bootstrap_sample(size_t n, double fraction,
-                                     util::Rng& rng) {
+/// Draws the bootstrap sample of one tree into `idx`. Every tree first
+/// skips one draw: the trained models (and the golden digests built on
+/// them) are pinned to this sequence of bootstraps.
+void bootstrap_sample(size_t n, double fraction, util::Rng& rng,
+                      std::vector<size_t>* idx) {
+  rng.next_u64();
   const size_t m = std::max<size_t>(
       1, static_cast<size_t>(fraction * static_cast<double>(n)));
-  std::vector<size_t> idx(m);
+  idx->resize(m);
   for (size_t i = 0; i < m; ++i)
-    idx[i] = static_cast<size_t>(rng.uniform_int(0, static_cast<int64_t>(n) - 1));
-  return idx;
-}
-
-size_t default_max_features(size_t d, size_t requested) {
-  if (requested != 0) return requested;
-  // Random forests decorrelate trees by subsampling features; with our
-  // 1-D profiler features sqrt(d) == d, so this only matters for wider data.
-  return std::max<size_t>(1, static_cast<size_t>(std::sqrt(
-                                 static_cast<double>(d))));
+    (*idx)[i] =
+        static_cast<size_t>(rng.uniform_int(0, static_cast<int64_t>(n) - 1));
 }
 
 /// Merges per-tree step functions into one: `combine(leaf_values)` maps the
@@ -79,13 +76,12 @@ void RandomForestClassifier::fit(const Dataset& data) {
   num_classes_ = data.num_classes();
   trees_.assign(static_cast<size_t>(opt_.num_trees), {});
   util::Rng rng(opt_.seed);
-  TreeOptions topt = opt_.tree;
-  topt.max_features = default_max_features(data.num_features(),
-                                           opt_.tree.max_features);
+  detail::CartWorkspace ws;
+  std::vector<size_t> sample;
   for (auto& tree : trees_) {
-    topt.seed = rng.next_u64();
-    const auto sample = bootstrap_sample(data.size(), opt_.sample_fraction, rng);
-    tree.fit(data, sample, /*classification=*/true, num_classes_, topt);
+    bootstrap_sample(data.size(), opt_.sample_fraction, rng, &sample);
+    tree.fit(data, sample, /*classification=*/true, num_classes_, opt_.tree,
+             ws);
   }
 }
 
@@ -104,13 +100,11 @@ void RandomForestRegressor::fit(const Dataset& data) {
     throw std::invalid_argument("RandomForestRegressor: need targets");
   trees_.assign(static_cast<size_t>(opt_.num_trees), {});
   util::Rng rng(opt_.seed);
-  TreeOptions topt = opt_.tree;
-  topt.max_features = default_max_features(data.num_features(),
-                                           opt_.tree.max_features);
+  detail::CartWorkspace ws;
+  std::vector<size_t> sample;
   for (auto& tree : trees_) {
-    topt.seed = rng.next_u64();
-    const auto sample = bootstrap_sample(data.size(), opt_.sample_fraction, rng);
-    tree.fit(data, sample, /*classification=*/false, 0, topt);
+    bootstrap_sample(data.size(), opt_.sample_fraction, rng, &sample);
+    tree.fit(data, sample, /*classification=*/false, 0, opt_.tree, ws);
   }
 }
 

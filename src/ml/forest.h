@@ -3,6 +3,8 @@
 // prediction performance").
 #pragma once
 
+#include <cstdint>
+
 #include "ml/step_function.h"
 #include "ml/tree.h"
 
@@ -22,9 +24,9 @@ class RandomForestClassifier : public Classifier {
   void fit(const Dataset& data) override;
   int predict(const FeatureRow& row) const override;  // majority vote
   size_t tree_count() const { return trees_.size(); }
-  /// The fitted forest as a step function of feature 0: the same vote and
+  /// The fitted forest as a step function of its feature: the same vote and
   /// first-max tie-break per interval, so it equals predict({x}) for every
-  /// x, NaN included. Throws when a split tests another feature.
+  /// x, NaN included. Throws std::logic_error before fit.
   StepFunction<int> compile() const;
 
  private:
@@ -39,9 +41,9 @@ class RandomForestRegressor : public Regressor {
   void fit(const Dataset& data) override;
   double predict(const FeatureRow& row) const override;  // mean of trees
   size_t tree_count() const { return trees_.size(); }
-  /// The fitted forest as a step function of feature 0. Each interval sums
+  /// The fitted forest as a step function of its feature. Each interval sums
   /// the trees in tree order and divides by the tree count, so it equals
-  /// predict({x}) bit for bit. Throws when a split tests another feature.
+  /// predict({x}) bit for bit. Throws std::logic_error before fit.
   StepFunction<double> compile() const;
 
  private:

@@ -186,7 +186,7 @@ void ObsSession::on_engine_event(sim::EngineApi& api,
   } else if (is(ev.what, "health_ping")) {
     if (++ping_seq_ % cfg_.series_every_n == 0)
       metrics_.series("cluster.placed_invocations")
-          .sample(ts, static_cast<double>(api.placed_invocations().size()));
+          .sample(ts, static_cast<double>(api.placed_count()));
   }
 }
 

@@ -21,11 +21,10 @@ ClusterState::ClusterState(EngineHost& host) : host_(host) {
   draining_until_.assign(nodes_.size(), 0.0);
 }
 
-std::vector<InvocationId> ClusterState::placed_invocations() const {
+void ClusterState::placed_invocations(std::vector<InvocationId>* out) const {
   // LIBRA_LINT_ALLOW(unordered-iteration): copied into a vector that is sorted on the next line
-  std::vector<InvocationId> out(placed_.begin(), placed_.end());
-  std::sort(out.begin(), out.end());  // set order is not deterministic
-  return out;
+  out->assign(placed_.begin(), placed_.end());
+  std::sort(out->begin(), out->end());  // set order is not deterministic
 }
 
 void ClusterState::start_health_pings(SimTime first_arrival) {

@@ -24,8 +24,10 @@ class ClusterState {
 
   void insert_placed(InvocationId id) { placed_.insert(id); }
   void erase_placed(InvocationId id) { placed_.erase(id); }
-  /// Invocations currently holding a node reservation, in ascending id order.
-  std::vector<InvocationId> placed_invocations() const;
+  /// Replaces `out` with the invocations currently holding a node
+  /// reservation, in ascending id order.
+  void placed_invocations(std::vector<InvocationId>* out) const;
+  size_t placed_count() const { return placed_.size(); }
 
   /// Initializes the health view and schedules the staggered per-node ping
   /// loops. Called once from Engine::run after the fault injector exists.

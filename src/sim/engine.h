@@ -74,9 +74,10 @@ class Engine final : public EngineApi, private EngineHost {
   bool node_suspected_down(NodeId id) const override {
     return cluster_->node_suspected_down(id);
   }
-  std::vector<InvocationId> placed_invocations() const override {
-    return cluster_->placed_invocations();
+  void placed_invocations(std::vector<InvocationId>* out) const override {
+    cluster_->placed_invocations(out);
   }
+  size_t placed_count() const override { return cluster_->placed_count(); }
   const core::PoolStatus* controller_pool_view(NodeId node,
                                                int controller) const override {
     return ctrlplane_->view(node, controller);

@@ -64,10 +64,15 @@ class EngineApi {
     return false;
   }
 
-  /// Invocations currently holding a node reservation (live, placed), in
-  /// ascending id order. The invariant auditor sums their user allocations
-  /// (plus probe extras) against each node's allocated totals.
-  virtual std::vector<InvocationId> placed_invocations() const { return {}; }
+  /// Replaces `out` with the invocations currently holding a node
+  /// reservation (live, placed), in ascending id order. The invariant
+  /// auditor sums their user allocations (plus probe extras) against each
+  /// node's allocated totals; reusing `out` allocates nothing once warm.
+  virtual void placed_invocations(std::vector<InvocationId>* out) const {
+    out->clear();
+  }
+  /// How many invocations placed_invocations() lists.
+  virtual size_t placed_count() const { return 0; }
 
   /// The owning controller's cached pool-status view of `node` (src/sim/ctrl,
   /// DESIGN.md §5k), or nullptr when the control plane is transparent (one

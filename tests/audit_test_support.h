@@ -70,9 +70,10 @@ class FakeApi final : public sim::EngineApi {
   sim::Resources observed_peak(sim::InvocationId) const override {
     return {};
   }
-  std::vector<sim::InvocationId> placed_invocations() const override {
-    return placed_;
+  void placed_invocations(std::vector<sim::InvocationId>* out) const override {
+    *out = placed_;
   }
+  size_t placed_count() const override { return placed_.size(); }
 
   void add_invocation(sim::InvocationId id, sim::FunctionId func) {
     sim::Invocation inv;

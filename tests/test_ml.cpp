@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "ml/dataset.h"
@@ -37,6 +38,47 @@ Dataset linear_regression_data(size_t n, util::Rng& rng) {
   for (size_t i = 0; i < n; ++i) {
     const double x0 = rng.uniform(-5, 5), x1 = rng.uniform(-5, 5);
     d.add_regression({x0, x1}, 3 + 2 * x0 - x1 + rng.normal(0, 0.01));
+  }
+  return d;
+}
+
+// 1-D counterparts for the trees, which fit a single feature.
+Dataset one_feature_blobs(size_t n, util::Rng& rng) {
+  Dataset d;
+  for (size_t i = 0; i < n; ++i) {
+    const int label = rng.bernoulli(0.5) ? 1 : 0;
+    d.add_classification({(label ? 4.0 : 0.0) + rng.normal(0, 0.5)}, label);
+  }
+  return d;
+}
+
+Dataset one_feature_line(size_t n, util::Rng& rng) {
+  // y = 3 + 2 x + noise
+  Dataset d;
+  for (size_t i = 0; i < n; ++i) {
+    const double x = rng.uniform(-5, 5);
+    d.add_regression({x}, 3 + 2 * x + rng.normal(0, 0.01));
+  }
+  return d;
+}
+
+Dataset one_feature_classification(size_t n, int classes, util::Rng& rng) {
+  Dataset d;
+  for (size_t i = 0; i < n; ++i) {
+    const double x = std::exp(rng.uniform(std::log(0.2), std::log(100.0)));
+    int label = static_cast<int>(std::log(x + 1.0) * classes / 5.0);
+    if (rng.bernoulli(0.2))
+      label = static_cast<int>(rng.uniform_int(0, classes - 1));
+    d.add_classification({x}, std::clamp(label, 0, classes - 1));
+  }
+  return d;
+}
+
+Dataset one_feature_regression(size_t n, util::Rng& rng) {
+  Dataset d;
+  for (size_t i = 0; i < n; ++i) {
+    const double x = std::exp(rng.uniform(std::log(0.2), std::log(100.0)));
+    d.add_regression({x}, 0.5 + 0.3 * x + rng.normal(0.0, 2.0));
   }
   return d;
 }
@@ -214,9 +256,121 @@ TEST(DecisionTree, RespectsMaxDepth) {
   EXPECT_LE(stump.node_count(), 3u);  // root + two leaves
 }
 
+// Bootstrap repeats and distinct rows tie in x; no split separates equal x,
+// so each leaf's value counts every repeat of the rows it receives. The
+// workspace, last used for a wider classification fit, is reused.
+TEST(DecisionTree, RepeatedSampleRowsTieInX) {
+  util::Rng rng(31);
+  const auto wide = one_feature_classification(90, 6, rng);
+  detail::CartWorkspace ws;
+  detail::Cart cart;
+  std::vector<size_t> all(wide.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  cart.fit(wide, all, /*classification=*/true, wide.num_classes(), {}, ws);
+
+  Dataset d;  // x = 0: {0, 1}, x = 1: {10, 11}, x = 2: {20, 21}
+  for (int i = 0; i < 6; ++i)
+    d.add_regression({static_cast<double>(i / 2)}, 10.0 * (i / 2) + i % 2);
+  cart.fit(d, {0, 0, 0, 1, 2, 3, 3, 4, 5, 5}, /*classification=*/false, 0, {},
+           ws);
+  EXPECT_EQ(cart.node_count(), 5u);  // one leaf per distinct x
+  EXPECT_DOUBLE_EQ(cart.predict({0.0}), (0.0 + 0.0 + 0.0 + 1.0) / 4.0);
+  EXPECT_DOUBLE_EQ(cart.predict({1.0}), (10.0 + 11.0 + 11.0) / 3.0);
+  EXPECT_DOUBLE_EQ(cart.predict({2.0}), (20.0 + 21.0 + 21.0) / 3.0);
+
+  Dataset c;  // x = 0: labels {0, 1}, x = 1: labels {1, 1}
+  for (int label : {0, 1}) c.add_classification({0.0}, label);
+  for (int i = 0; i < 2; ++i) c.add_classification({1.0}, 1);
+  cart.fit(c, {0, 0, 1, 2, 3}, /*classification=*/true, 2, {}, ws);
+  EXPECT_EQ(cart.node_count(), 3u);
+  EXPECT_EQ(cart.predict({0.0}), 0.0);  // two 0s beat one 1
+  EXPECT_EQ(cart.predict({1.0}), 1.0);
+}
+
+TEST(DecisionTree, NodeBelowTwoMinLeavesIsALeaf) {
+  Dataset d;
+  for (int i = 0; i < 5; ++i)
+    d.add_regression({static_cast<double>(i)}, static_cast<double>(i));
+  TreeOptions opt;
+  opt.min_samples_leaf = 3;
+  DecisionTreeRegressor tree(opt);
+  tree.fit(d);
+  EXPECT_EQ(tree.node_count(), 1u);
+  EXPECT_DOUBLE_EQ(tree.predict({0.0}), 2.0);
+  // Six rows admit exactly one split, and its halves no further one.
+  d.add_regression({5.0}, 5.0);
+  tree.fit(d);
+  EXPECT_EQ(tree.node_count(), 3u);
+  EXPECT_DOUBLE_EQ(tree.predict({0.0}), 1.0);
+  EXPECT_DOUBLE_EQ(tree.predict({5.0}), 4.0);
+}
+
+TEST(DecisionTree, ConstantTargetsAreOneLeaf) {
+  Dataset d, near;
+  for (int i = 0; i < 40; ++i) {
+    d.add_regression({0.5 * i}, 7.25);
+    near.add_regression({0.5 * i}, 7.25 + (i % 2) * 1e-7);  // variance < 1e-12
+  }
+  DecisionTreeRegressor tree;
+  tree.fit(d);
+  EXPECT_EQ(tree.node_count(), 1u);
+  EXPECT_EQ(tree.predict({3.0}), 7.25);
+  tree.fit(near);
+  EXPECT_EQ(tree.node_count(), 1u);
+}
+
+TEST(DecisionTree, SingleClassIsOneLeaf) {
+  Dataset d;
+  for (int i = 0; i < 30; ++i) d.add_classification({0.1 * i}, 2);
+  DecisionTreeClassifier tree;
+  tree.fit(d);
+  EXPECT_EQ(tree.node_count(), 1u);
+  EXPECT_EQ(tree.predict({1.0}), 2);
+}
+
+TEST(DecisionTree, ZeroDepthIsTheRootLeaf) {
+  TreeOptions opt;
+  opt.max_depth = 0;
+  Dataset r;
+  for (int i = 0; i < 10; ++i)
+    r.add_regression({static_cast<double>(i)}, static_cast<double>(i));
+  DecisionTreeRegressor reg(opt);
+  reg.fit(r);
+  EXPECT_EQ(reg.node_count(), 1u);
+  EXPECT_DOUBLE_EQ(reg.predict({0.0}), 4.5);
+  Dataset c;  // classes 0 and 1 tie: the first max wins
+  for (int label : {1, 1, 0, 0, 2})
+    c.add_classification({static_cast<double>(label)}, label);
+  DecisionTreeClassifier clf(opt);
+  clf.fit(c);
+  EXPECT_EQ(clf.node_count(), 1u);
+  EXPECT_EQ(clf.predict({2.0}), 0);
+}
+
+// lo and hi are adjacent doubles and 0.5 * (lo + hi) rounds to hi, so the
+// split sends the rows at hi left with those at lo: children are split by
+// value, not at the scored position.
+TEST(DecisionTree, SplitsByValueWhenTheMidpointRoundsUp) {
+  const double lo = std::nextafter(1.0, 2.0);
+  const double hi = std::nextafter(lo, 2.0);
+  ASSERT_EQ(0.5 * (lo + hi), hi);
+  Dataset d;
+  for (int i = 0; i < 4; ++i) {
+    d.add_regression({lo}, 0.0);
+    d.add_regression({hi}, 10.0);
+    d.add_regression({2.0}, 10.0);
+  }
+  DecisionTreeRegressor tree;
+  tree.fit(d);
+  EXPECT_EQ(tree.node_count(), 3u);
+  EXPECT_EQ(tree.predict({lo}), 5.0);
+  EXPECT_EQ(tree.predict({hi}), 5.0);
+  EXPECT_EQ(tree.predict({2.0}), 10.0);
+}
+
 TEST(RandomForest, BeatsChanceOnNoisyBlobs) {
   util::Rng rng(23);
-  auto d = two_blob_classification(300, rng);
+  auto d = one_feature_blobs(300, rng);
   auto split = split_dataset(d, 0.7, rng);
   RandomForestClassifier rf;
   rf.fit(split.train);
@@ -226,7 +380,7 @@ TEST(RandomForest, BeatsChanceOnNoisyBlobs) {
 
 TEST(RandomForest, RegressionOnLinearData) {
   util::Rng rng(29);
-  auto d = linear_regression_data(300, rng);
+  auto d = one_feature_line(300, rng);
   auto split = split_dataset(d, 0.7, rng);
   RandomForestRegressor rf;
   rf.fit(split.train);
@@ -326,27 +480,6 @@ TEST(Histogram, SortedPercentilesMatchCopyAndSortAtDefaultCapacity) {
 
 /// Profiler-shaped data: one feature (log-uniform input size), a noisy
 /// step-like class label and a noisy smooth regression target.
-Dataset one_feature_classification(size_t n, int classes, util::Rng& rng) {
-  Dataset d;
-  for (size_t i = 0; i < n; ++i) {
-    const double x = std::exp(rng.uniform(std::log(0.2), std::log(100.0)));
-    int label = static_cast<int>(std::log(x + 1.0) * classes / 5.0);
-    if (rng.bernoulli(0.2))
-      label = static_cast<int>(rng.uniform_int(0, classes - 1));
-    d.add_classification({x}, std::clamp(label, 0, classes - 1));
-  }
-  return d;
-}
-
-Dataset one_feature_regression(size_t n, util::Rng& rng) {
-  Dataset d;
-  for (size_t i = 0; i < n; ++i) {
-    const double x = std::exp(rng.uniform(std::log(0.2), std::log(100.0)));
-    d.add_regression({x}, 0.5 + 0.3 * x + rng.normal(0.0, 2.0));
-  }
-  return d;
-}
-
 /// Every input worth probing: each compiled breakpoint and each midpoint
 /// of two training values (every threshold a bootstrap tree can pick) at
 /// -1 ulp, exactly, and +1 ulp; every training value; points below the
@@ -429,11 +562,15 @@ TEST_P(CompiledForest, RegressorEqualsTreeWalkBitForBit) {
 INSTANTIATE_TEST_SUITE_P(TreeCounts, CompiledForest,
                          ::testing::Values(1, 4, 40));
 
-TEST(CompiledForest, RejectsSplitsOnOtherFeatures) {
+TEST(CompiledForest, FitRejectsTwoFeatures) {
   util::Rng rng(47);
   RandomForestClassifier forest;
-  forest.fit(two_blob_classification(200, rng));
-  EXPECT_THROW(forest.compile(), std::logic_error);
+  EXPECT_THROW(forest.fit(two_blob_classification(200, rng)),
+               std::invalid_argument);
+  EXPECT_THROW(RandomForestRegressor().fit(linear_regression_data(50, rng)),
+               std::invalid_argument);
+  EXPECT_THROW(DecisionTreeClassifier().fit(two_blob_classification(50, rng)),
+               std::invalid_argument);
   EXPECT_THROW(RandomForestRegressor().compile(), std::logic_error);
 }
 
@@ -442,7 +579,7 @@ class ForestSeedSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ForestSeedSweep, StableAccuracyAcrossSeeds) {
   util::Rng rng(GetParam());
-  auto d = two_blob_classification(200, rng);
+  auto d = one_feature_blobs(200, rng);
   auto split = split_dataset(d, 0.7, rng);
   ForestOptions opt;
   opt.seed = GetParam();

@@ -76,8 +76,10 @@ TEST(LibraPolicy, RawPredictionStashDrainsWithTheLiveSet) {
       exp::run_experiment(exp::single_node_config(), policy,
                           workload::single_node_trace(*catalog(), 7));
   EXPECT_GT(m.invocations.size(), 0u);
-  EXPECT_TRUE(policy->raw_pred_ids_for_audit().empty())
-      << policy->raw_pred_ids_for_audit().size()
+  std::vector<sim::InvocationId> stashed;
+  policy->raw_pred_ids_for_audit(&stashed);
+  EXPECT_TRUE(stashed.empty())
+      << stashed.size()
       << " raw predictions still stashed after every invocation finalized";
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 #include "core/profiler.h"
+#include "gen/synthetic_source.h"
 #include "core/window_predictors.h"
 #include "workload/function_catalog.h"
 #include "workload/trace.h"
@@ -242,6 +245,63 @@ TEST_F(ProfilerTest, PrewarmWithZeroWorkersStillTrains) {
   profiler_->prewarm_with_workers(*catalog_, 77, 20, 0);
   for (int f = 0; f < static_cast<int>(catalog_->size()); ++f)
     EXPECT_TRUE(profiler_->train_metrics(f).has_value()) << f;
+}
+
+// Pins every trained model: a change to how the forests are fit must keep
+// them bit-identical. Digests each function's TrainMetrics bits and its
+// predictions over the log-spaced size grid through both serving paths, on
+// the SeBS catalog and on the 300-function synthetic Azure catalog
+// (catalog seed 42) that perfbench's libra_azure prewarms, with the same
+// prewarm seed and sample count as exp::make_platform.
+uint64_t trained_models_digest(
+    const std::shared_ptr<const sim::FunctionCatalog>& catalog) {
+  Profiler profiler(ProfilerConfig{}, catalog);
+  profiler.prewarm(*catalog, 1234, 30);
+  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  auto mix_d = [&mix](double v) { mix(std::bit_cast<uint64_t>(v)); };
+  for (int f = 0; f < static_cast<int>(catalog->size()); ++f) {
+    const auto m = profiler.train_metrics(f);
+    if (!m.has_value()) {
+      mix(~0ULL);
+      continue;
+    }
+    mix_d(m->cpu_accuracy);
+    mix_d(m->mem_accuracy);
+    mix_d(m->duration_r2);
+    mix(m->classified_size_related ? 1 : 0);
+    for (double size = 0.01; size < 1e4; size *= 1.37) {
+      auto x = workload::make_invocation(*catalog, 0, f, {size, 5}, 0.0);
+      auto y = x;
+      profiler.predict(x);
+      profiler.predict_fallback(y);
+      for (const auto* inv : {&x, &y}) {
+        mix_d(inv->pred_demand.cpu);
+        mix_d(inv->pred_demand.mem);
+        mix_d(inv->pred_duration);
+        mix(inv->pred_size_related ? 1 : 0);
+      }
+    }
+  }
+  return h;
+}
+
+TEST_F(ProfilerTest, TrainedModelsPinned) {
+  gen::GenConfig g;  // perfbench's libra_azure catalog
+  g.functions = 300;
+  g.rpm = 25000.0;
+  g.diurnal_period = 60.0;
+  g.duration = 60.0;
+  g.seed = 42;
+  const auto azure =
+      std::make_shared<const sim::FunctionCatalog>(gen::synthetic_catalog(g));
+  EXPECT_EQ(trained_models_digest(catalog_), 0xa39a0c6a56c90c57ULL);
+  EXPECT_EQ(trained_models_digest(azure), 0x32b63b4677691797ULL);
 }
 
 }  // namespace
